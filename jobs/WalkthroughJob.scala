@@ -88,5 +88,6 @@ object WalkthroughJob {
     val marks = entries.filter(col("source") === "cleaned" && col("floor") === 2)
       .select("x", "y").collect().map(r => (r.getDouble(0), r.getDouble(1), '*')).toSeq
     println(AsciiMap.render(dsm, 2, marks))
+    result.unpersist()
   }
 }

@@ -13,7 +13,12 @@ import repro.indoor.Dsm
   * model for the event + temporal annotations, the DSM semantic regions
   * for the spatial annotation. Consecutive semantics that agree on both
   * event and region are merged (they describe one continued behavior split
-  * only by the sampling).
+  * only by the sampling). A snippet on a floor the DSM does not model
+  * matches no region and yields no semantics.
+  *
+  * `Translator.translate` calls [[annotateDevice]] on each device right
+  * after cleaning it, in one pass; [[annotate]] runs it alone over cleaned
+  * records, device-parallel.
   */
 object Annotator {
 
@@ -26,11 +31,12 @@ object Annotator {
   def annotateDevice(dsm: Dsm, model: EventModel, records: Seq[CleanRecord],
                      cfg: Config = Config()): Vector[Semantic] = {
     val snippets = Splitter.split(dsm, records, cfg.eps, cfg.minDur, cfg.sessionGap)
-    val raw = snippets.map { s =>
-      val region = SpatialMatcher.matchSnippet(dsm, s)
-      val event = model.annotate(Features.ofSnippet(s))
-      Semantic(s.deviceId, s.snippetId, event, region.tag, region.id,
-               s.tStart, s.tEnd, source = "annotated")
+    val raw = snippets.flatMap { s =>
+      SpatialMatcher.matchSnippet(dsm, s).map { region =>
+        val event = model.annotate(Features.ofSnippet(s))
+        Semantic(s.deviceId, s.snippetId, event, region.tag, region.id,
+                 s.tStart, s.tEnd, source = "annotated")
+      }
     }
     // Merge adjacent semantics with identical (event, region) and renumber.
     val merged = raw.foldLeft(Vector.empty[Semantic]) {
@@ -43,7 +49,8 @@ object Annotator {
     merged.zipWithIndex.map { case (s, i) => s.copy(seqNo = i) }
   }
 
-  /** Annotate all devices; device-parallel. */
+  /** Annotate all devices' cleaned records; device-parallel through its
+    * own `groupByKey`. */
   def annotate(spark: SparkSession, cleaned: Dataset[CleanRecord],
                dsm: Broadcast[Dsm], model: EventModel,
                cfg: Config = Config()): Dataset[Semantic] = {

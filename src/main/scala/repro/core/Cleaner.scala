@@ -25,8 +25,9 @@ import repro.indoor.Geometry.IndoorPoint
   *     indoor walking path between the last valid record and the next
   *     record reachable from it.
   *
-  * The per-device pass is sequential (each repair feeds the next check);
-  * devices are processed in parallel via `groupByKey`/`flatMapGroups`.
+  * The per-device pass is sequential (each repair feeds the next check).
+  * `Translator.translate` runs it inside its single per-device pass;
+  * [[clean]] runs it alone, device-parallel, for the Viewer and the benches.
   */
 object Cleaner {
 
@@ -46,13 +47,25 @@ object Cleaner {
     * location interpolation before clamping to the last valid location. */
   val Lookahead = 6
 
+  /** Records by timestamp; ties (duplicate timestamps) by floor, x, y. */
+  private object ByTsThenFields extends Ordering[PosRecord] {
+    def compare(a: PosRecord, b: PosRecord): Int = {
+      var c = java.lang.Long.compare(a.ts, b.ts)
+      if (c == 0) c = Integer.compare(a.floor, b.floor)
+      if (c == 0) c = java.lang.Double.compare(a.x, b.x)
+      if (c == 0) c = java.lang.Double.compare(a.y, b.y)
+      c
+    }
+  }
+
   /** Clean one device's records (must be one device; need not be sorted).
     * Exposed for tests; the Spark entry point is [[clean]]. */
   def cleanDevice(dsm: Dsm, records: Seq[PosRecord],
                   maxSpeed: Double = DefaultMaxSpeed,
                   noiseSlack: Double = DefaultNoiseSlack): Vector[CleanRecord] = {
-    // Drop duplicate timestamps (keep the first), sort once.
-    val sorted = records.sortBy(_.ts)
+    // Sort once and drop duplicate timestamps, keeping the first in
+    // `ByTsThenFields` order, so the result does not depend on input order.
+    val sorted = records.sorted(ByTsThenFields)
       .foldLeft(Vector.empty[PosRecord]) {
         case (acc, r) if acc.nonEmpty && acc.last.ts == r.ts => acc
         case (acc, r)                                        => acc :+ r
@@ -140,7 +153,8 @@ object Cleaner {
     out.result()
   }
 
-  /** Clean all devices' records; device-parallel. */
+  /** Clean all devices' records; device-parallel through its own
+    * `groupByKey`. */
   def clean(spark: SparkSession, raw: Dataset[PosRecord], dsm: Broadcast[Dsm],
             maxSpeed: Double = DefaultMaxSpeed,
             noiseSlack: Double = DefaultNoiseSlack): Dataset[CleanRecord] = {

@@ -138,7 +138,10 @@ object Complementor {
     out.result().sortBy(_.tStart).zipWithIndex.map { case (s, i) => s.copy(seqNo = i) }
   }
 
-  /** Complement all devices; knowledge and DSM ride a broadcast. */
+  /** Complement all devices' annotated semantics, device-parallel through
+    * its own `groupByKey`; knowledge and DSM ride a broadcast.
+    * `Translator.translate` instead calls [[complementDevice]] on the
+    * partitions of its per-device pass, with no shuffle. */
   def complement(spark: SparkSession, semantics: Dataset[Semantic],
                  dsm: Broadcast[Dsm], km: Broadcast[KnowledgeModel],
                  gapThreshold: Long = DefaultGapThreshold): Dataset[Semantic] = {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.Schema._
@@ -10,11 +10,12 @@ import repro.indoor.Dsm
   *
   * "Aggregates the mobility semantics already annotated to build the prior
   * mobility knowledge that captures the transition probabilities between
-  * semantic regions." A Spark aggregation over all devices' annotated
-  * sequences yields, per region: outgoing transition counts, dwell
-  * statistics and the event distribution. The compact result is collected
-  * into a serializable [[KnowledgeModel]] that the Complementor broadcasts
-  * for per-gap MAP inference.
+  * semantic regions." Each device's annotated sequence yields a small
+  * [[Summary]] (transition counts, per-region dwell sums and event counts);
+  * summaries merge by addition, in any order, into a serializable
+  * [[KnowledgeModel]] that the Complementor broadcasts for per-gap MAP
+  * inference. [[transitionCounts]] and [[regionStats]] are the same
+  * aggregates in SQL, checked against DuckDB.
   */
 object Knowledge {
 
@@ -74,14 +75,60 @@ object Knowledge {
       .agg(avg(col("tEnd") - col("tStart")).as("mean_dwell"),
            avg(when(col("event") === Stay, 1.0).otherwise(0.0)).as("stay_share"))
 
-  /** Build the broadcastable model from annotated semantics. */
+  /** Per-region tallies: summed annotated duration (s), `stay` semantics,
+    * and all semantics. */
+  final case class RegionTally(dwellSum: Long, stays: Long, n: Long) {
+    def +(o: RegionTally): RegionTally = RegionTally(dwellSum + o.dwellSum, stays + o.stays, n + o.n)
+  }
+
+  /** The knowledge contributed by a set of devices. Merging is addition, so
+    * summaries of disjoint device sets merge in any order to one model. */
+  final case class Summary(transitions: Map[(String, String), Long],
+                           regions: Map[String, RegionTally]) {
+
+    def merge(o: Summary): Summary =
+      Summary(add(transitions, o.transitions)(_ + _), add(regions, o.regions)(_ + _))
+
+    /** The model: the same numbers as [[transitionCounts]] and
+      * [[regionStats]] (Spark averages integers in an exact double sum). */
+    def toModel(alpha: Double): KnowledgeModel =
+      KnowledgeModel(transitions,
+                     regions.map { case (r, t) => r -> t.dwellSum.toDouble / t.n },
+                     regions.map { case (r, t) => r -> t.stays.toDouble / t.n },
+                     alpha)
+  }
+
+  object Summary {
+    val empty: Summary = Summary(Map.empty, Map.empty)
+
+    val encoder: Encoder[Summary] = Encoders.javaSerialization[Summary]
+
+    /** One device's semantics, in any order: transitions between
+      * consecutive semantics by `seqNo`, self-transitions excluded. */
+    def ofDevice(semantics: Seq[Semantic]): Summary = {
+      val seq = semantics.sortBy(_.seqNo)
+      val moves = seq.zip(seq.drop(1))
+        .collect { case (a, b) if a.regionId != b.regionId => (a.regionId, b.regionId) }
+      Summary(moves.groupMapReduce(identity)(_ => 1L)(_ + _),
+              seq.groupMapReduce(_.regionId)(s =>
+                RegionTally(s.tEnd - s.tStart, if (s.event == Stay) 1L else 0L, 1L))(_ + _))
+    }
+
+    def mergeAll(ss: IterableOnce[Summary]): Summary = ss.iterator.foldLeft(empty)(_ merge _)
+  }
+
+  /** Key-wise sum of two maps, folding the smaller into the larger. */
+  private def add[K, V](a: Map[K, V], b: Map[K, V])(plus: (V, V) => V): Map[K, V] = {
+    val (big, small) = if (a.size >= b.size) (a, b) else (b, a)
+    small.foldLeft(big) { case (m, (k, v)) => m.updated(k, m.get(k).fold(v)(plus(_, v))) }
+  }
+
+  /** Build the broadcastable model from annotated semantics: one
+    * [[Summary]] per device, merged. */
   def build(spark: SparkSession, semantics: Dataset[Semantic], alpha: Double = 0.5): KnowledgeModel = {
-    val df = semantics.toDF()
-    val trans = transitionCounts(df).collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    val stats = regionStats(df).collect()
-      .map(r => r.getString(0) -> (r.getDouble(1), r.getDouble(2))).toMap
-    KnowledgeModel(trans, stats.view.mapValues(_._1).toMap,
-                   stats.view.mapValues(_._2).toMap, alpha)
+    import spark.implicits._
+    Summary.mergeAll(semantics.groupByKey(_.deviceId)
+      .mapGroups((_, it) => Summary.ofDevice(it.toSeq))(Summary.encoder)
+      .collect()).toModel(alpha)
   }
 }

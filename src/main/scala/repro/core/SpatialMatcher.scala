@@ -19,12 +19,12 @@ object SpatialMatcher {
 
   /** Majority containing region over the snippet's records; record-level
     * ties break toward the smaller region (a shop beats the corridor), and
-    * out-of-wall records snap to the nearest region on their floor. */
-  def matchSnippet(dsm: Dsm, s: Snippet): Region = {
+    * out-of-wall records snap to the nearest region on their floor. None
+    * when no record's floor has a region (the snippet is off the map). */
+  def matchSnippet(dsm: Dsm, s: Snippet): Option[Region] = {
     val votes = s.records.flatMap(r => dsm.regionAtSnapped(r.point)).groupBy(_.id)
-    require(votes.nonEmpty, s"snippet ${s.snippetId} off-map on every record")
-    val (_, rs) = votes.maxBy { case (_, v) => (v.size, -v.head.rect.area) }
-    rs.head
+    if (votes.isEmpty) None
+    else Some(votes.maxBy { case (_, v) => (v.size, -v.head.rect.area) }._2.head)
   }
 
   /** The DSM regions as a DataFrame (region_id, floor, x_min, y_min,

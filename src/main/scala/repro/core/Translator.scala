@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
+import repro.core.Knowledge.Summary
 import repro.core.Schema._
 import repro.indoor.Dsm
 
@@ -10,8 +11,13 @@ import repro.indoor.Dsm
   * "The framework takes each individual positioning sequence as input and
   * generates the corresponding mobility semantics sequence", processed
   * through Cleaning → Annotation → Complementing "without manual
-  * interventions". Each layer is an independent module (so the Viewer can
-  * trace intermediate data); this object wires them per Figure 3.
+  * interventions". Each layer is a per-device function; only the knowledge
+  * prior needs to see every device. So a translation is one shuffle by
+  * `deviceId`, in which each device is cleaned and annotated; the
+  * knowledge is merged from per-device summaries, and the complement runs
+  * on the partitions that shuffle produced. The layers' own Spark entry
+  * points (`Cleaner.clean`, `Annotator.annotate`, ...) stay available for
+  * the Viewer to trace intermediate data.
   */
 object Translator {
 
@@ -22,26 +28,48 @@ object Translator {
 
   /** All intermediate artifacts of a translation task — what the Viewer
     * lets the analyst trace (raw/cleaned sequences, original and
-    * complemented semantics). Datasets are lazily evaluated; callers cache
-    * what they inspect repeatedly. */
+    * complemented semantics). `annotated` is cached; `cleaned` and
+    * `semantics` are recomputed on each action (the cleaned records are
+    * the same ones the semantics came from: cleaning is deterministic). */
   final case class Result(cleaned: Dataset[CleanRecord],
                           annotated: Dataset[Semantic],
                           knowledge: Knowledge.KnowledgeModel,
-                          semantics: Dataset[Semantic])
+                          semantics: Dataset[Semantic])(broadcasts: Seq[Broadcast[_]]) {
+
+    /** Release the cache and the DSM and knowledge broadcasts the
+      * translation created. The Result's Datasets are unusable afterwards. */
+    def unpersist(): Unit = {
+      annotated.unpersist(blocking = true)
+      broadcasts.foreach(_.destroy())
+    }
+  }
 
   /** Translate the selected raw positioning sequences into mobility
-    * semantics sequences. The knowledge construction aggregates over *all*
-    * annotated sequences (that is the point of the prior), so the
-    * annotated Dataset is materialized once via cache.
+    * semantics sequences. One pass shuffles by device, cleans and
+    * annotates each device, caches the annotated semantics and returns one
+    * knowledge [[Knowledge.Summary]] per partition; no further shuffle
+    * follows, because every device's semantics sit in the partition its
+    * group ran in.
     */
   def translate(spark: SparkSession, raw: Dataset[PosRecord], dsm: Dsm,
                 model: EventModel, cfg: Config = Config()): Result = {
+    import spark.implicits._
     val b = spark.sparkContext.broadcast(dsm)
-    val cleaned = Cleaner.clean(spark, raw, b, cfg.maxSpeed).cache()
-    val annotated = Annotator.annotate(spark, cleaned, b, model, cfg.annotator).cache()
-    val km = Knowledge.build(spark, annotated, cfg.knowledgeAlpha)
+    val annotated = raw.groupByKey(_.deviceId).flatMapGroups { (_, it) =>
+      val cleaned = Cleaner.cleanDevice(b.value, it.toSeq, cfg.maxSpeed)
+      Annotator.annotateDevice(b.value, model, cleaned, cfg.annotator)
+    }.cache()
+    val km = Summary.mergeAll(annotated
+      .mapPartitions(it => Iterator(Summary.mergeAll(byDevice(it).map(Summary.ofDevice))))(Summary.encoder)
+      .collect()).toModel(cfg.knowledgeAlpha)
     val bk = spark.sparkContext.broadcast(km)
-    val full = Complementor.complement(spark, annotated, b, bk, cfg.gapThreshold)
-    Result(cleaned, annotated, km, full)
+    val semantics = annotated.mapPartitions { it =>
+      byDevice(it).flatMap(ss => Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold))
+    }
+    Result(Cleaner.clean(spark, raw, b, cfg.maxSpeed), annotated, km, semantics)(Seq(b, bk))
   }
+
+  /** One partition's semantics grouped by device, in device-id order. */
+  private def byDevice(it: Iterator[Semantic]): Iterator[Vector[Semantic]] =
+    it.toVector.groupBy(_.deviceId).toVector.sortBy(_._1).iterator.map(_._2)
 }

@@ -47,7 +47,17 @@ class CleanerSpec extends AnyFunSuite {
     val rs = Seq(rec(10, 2, 5), rec(0, 1, 5), rec(10, 9, 9), rec(5, 1.5, 5))
     val out = cleanExact(rs)
     assert(out.map(_.ts) == Vector(0L, 5L, 10L))
-    assert(out(2).x == 2) // first of the ts=10 duplicates wins
+    assert(out(2).x == 2) // ts ties break on (floor, x, y): the smaller x wins
+  }
+
+  test("conflicting duplicate timestamps clean the same in any input order") {
+    val rs = Seq(rec(0, 1, 5), rec(5, 2, 5), rec(5, 2, 4), rec(5, 18, 5), rec(5, 2, 5, f = 1),
+                 rec(10, 3, 5), rec(10, 15, 5), rec(15, 4, 5))
+    val orders = rs.reverse +: (0 until 100).map(i => new scala.util.Random(i).shuffle(rs))
+    val outs = (rs +: orders).map(cleanExact(_)).toSet
+    assert(outs.size == 1)
+    assert(outs.head.map(_.ts) == Vector(0L, 5L, 10L, 15L))
+    assert(outs.head(1).toPos == rec(5, 2, 4))
   }
 
   test("wrong floor value is corrected when that explains the violation") {

@@ -2,8 +2,11 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.Knowledge.KnowledgeModel
+import repro.config.EventEditor
+import repro.core.Knowledge.{KnowledgeModel, Summary}
 import repro.core.Schema._
+import repro.gen.{Mall, SynthIndoor}
+import repro.gen.SynthIndoor.SimConfig
 
 class KnowledgeSpec extends SparkSpec {
 
@@ -69,6 +72,44 @@ class KnowledgeSpec extends SparkSpec {
     assert(km.transitions(("A", "B")) == 2)
     assert(km.dominantEvent("A") == PassBy)
     assert(km.expectedDwell("B") == 112.5)
+  }
+
+  /** Semantics annotated from a small simulated population, with a model
+    * trained on that population's truth. */
+  private lazy val annotatedSynth: Seq[Semantic] = {
+    import spark.implicits._
+    val dsm = Mall.dsm()
+    val cfg = SimConfig(nDevices = 6, seed = 3L)
+    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
+    val segments = EventEditor.designateFromTruth(truth, truth.map(_.deviceId).toSet)
+    val cleaned = (0 until cfg.nDevices).map(i => Cleaner.cleanDevice(dsm, SynthIndoor.simulate(dsm, cfg, i).raw))
+    val model = EventModel.train(
+      EventEditor.trainingData(spark, cleaned.flatten.toDS(), segments).collect().toSeq)
+    cleaned.flatMap(c => Annotator.annotateDevice(dsm, model, c))
+  }
+
+  test("merged summaries equal transitionCounts and regionStats exactly") {
+    import spark.implicits._
+    val df = annotatedSynth.toDF()
+    val trans = Knowledge.transitionCounts(df).collect()
+      .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
+    val stats = Knowledge.regionStats(df).collect()
+      .map(r => r.getString(0) -> ((r.getDouble(1), r.getDouble(2)))).toMap
+    val km = Summary.mergeAll(annotatedSynth.groupBy(_.deviceId).values.map(Summary.ofDevice)).toModel(0.5)
+    assert(trans.size > 10)
+    assert(km.transitions == trans)
+    assert(km.dwell == stats.map { case (r, (d, _)) => r -> d })
+    assert(km.stayShare == stats.map { case (r, (_, p)) => r -> p })
+    assert(Knowledge.build(spark, annotatedSynth.toDS()) == km)
+  }
+
+  test("summaries merge in any order") {
+    val parts = sems.groupBy(_.deviceId).values.map(Summary.ofDevice).toSeq
+    val whole = Summary.mergeAll(parts)
+    assert(Summary.mergeAll(parts.reverse) == whole)
+    assert(Summary.mergeAll(Seq(Summary.empty, whole)) == whole)
+    assert(Summary.ofDevice(sems.filter(_.deviceId == "d1").reverse) ==
+           Summary.ofDevice(sems.filter(_.deviceId == "d1")))
   }
 
   test("prob is a smoothed conditional distribution") {

@@ -1,7 +1,10 @@
 package repro.core
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import repro.SparkSpec
 import repro.config.EventEditor
+import repro.core.Knowledge.{KnowledgeModel, Summary}
 import repro.core.Schema._
 import repro.eval.Metrics
 import repro.gen.{Mall, SynthIndoor}
@@ -17,18 +20,20 @@ class TranslatorSpec extends SparkSpec {
   private lazy val dsm = Mall.dsm()
   private lazy val cfg = SimConfig(nDevices = 12, seed = 21L)
 
+  private lazy val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
+  private lazy val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId).distinct, 0.5)
+  private lazy val evalRaw = {
+    val devs = trainDevs
+    SynthIndoor.raw(spark, dsm, cfg).filter(r => !devs.contains(r.deviceId))
+  }
+
   private lazy val fixture: (Translator.Result, Seq[Semantic], EventModel) = {
-    import spark.implicits._
-    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
-    val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId).distinct, 0.5)
     val segments = EventEditor.designateFromTruth(truth, trainDevs)
     val b = spark.sparkContext.broadcast(dsm)
     val cleanedAll = Cleaner.clean(spark, SynthIndoor.raw(spark, dsm, cfg), b)
     val model = EventModel.train(
       EventEditor.trainingData(spark, cleanedAll, segments).collect().toSeq)
 
-    val evalRaw = SynthIndoor.raw(spark, dsm, cfg)
-      .filter(r => !trainDevs.contains(r.deviceId))
     val result = Translator.translate(spark, evalRaw, dsm, model)
     val evalTruth = truth.filterNot(s => trainDevs.contains(s.deviceId))
     (result, evalTruth, model)
@@ -113,5 +118,68 @@ class TranslatorSpec extends SparkSpec {
     // Order: Adidas before Nike before Cashier.
     val order = shopSems.map(_.tag).distinct.toSeq
     assert(order == Seq("Adidas", "Nike", "Cashier"))
+  }
+
+  /** The translation composed from the per-device functions without Spark:
+    * the knowledge and the complemented semantics. */
+  private def composed(raw: Seq[PosRecord], model: EventModel): (KnowledgeModel, Seq[Semantic]) = {
+    val tc = Translator.Config()
+    val annotated = raw.groupBy(_.deviceId).values.toSeq.map { rs =>
+      Annotator.annotateDevice(dsm, model, Cleaner.cleanDevice(dsm, rs, tc.maxSpeed), tc.annotator)
+    }
+    val km = Summary.mergeAll(annotated.map(Summary.ofDevice)).toModel(tc.knowledgeAlpha)
+    (km, annotated.flatMap(Complementor.complementDevice(dsm, km, _, tc.gapThreshold)))
+  }
+
+  private def ordered(ss: Seq[Semantic]): Seq[Semantic] = ss.sortBy(s => (s.deviceId, s.seqNo))
+
+  test("translate equals the per-device functions composed without Spark, at any partition count") {
+    val (_, _, model) = fixture
+    val (km, expected) = composed(evalRaw.collect().toSeq, model)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try Seq("1", "7").foreach { n =>
+      spark.conf.set(key, n)
+      val r = Translator.translate(spark, evalRaw, dsm, model)
+      assert(r.knowledge == km, s"knowledge at $n partitions")
+      assert(ordered(r.semantics.collect().toSeq) == ordered(expected), s"semantics at $n partitions")
+      r.unpersist()
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("translate shuffles once") {
+    val (result, _, _) = fixture
+    val seen = scala.collection.mutable.Set.empty[Int]
+    def shuffles(rdd: RDD[_]): Int =
+      if (!seen.add(rdd.id)) 0
+      else rdd.dependencies.map { d =>
+        (d match { case _: ShuffleDependency[_, _, _] => 1; case _ => 0 }) + shuffles(d.rdd)
+      }.sum
+    assert(shuffles(result.semantics.rdd) == 1)
+  }
+
+  test("unpersist releases what the translation cached") {
+    val (_, _, model) = fixture
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    val r = Translator.translate(spark, evalRaw, dsm, model)
+    r.semantics.count()
+    assert(sc.getPersistentRDDs.size > before)
+    r.unpersist()
+    assert(sc.getPersistentRDDs.size == before)
+  }
+
+  test("a device on an unmodelled floor gets no semantics and leaves the others unchanged") {
+    import spark.implicits._
+    val (_, _, model) = fixture
+    val raw = evalRaw.collect().toSeq
+    val offMap = raw.filter(_.deviceId == raw.head.deviceId)
+      .map(_.copy(deviceId = "off-map", floor = 99))
+    val base = Translator.translate(spark, raw.toDS(), dsm, model)
+    val mixed = Translator.translate(spark, (raw ++ offMap).toDS(), dsm, model)
+    val sems = mixed.semantics.collect().toSeq
+    assert(!sems.exists(_.deviceId == "off-map"))
+    assert(ordered(sems) == ordered(base.semantics.collect().toSeq))
+    Seq(base, mixed).foreach(_.unpersist())
   }
 }
