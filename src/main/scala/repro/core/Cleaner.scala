@@ -6,6 +6,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.Schema._
 import repro.indoor.Dsm
+import repro.indoor.Dsm.Located
 import repro.indoor.Geometry.IndoorPoint
 
 /** The Cleaning layer of the three-layer translation framework (paper §3).
@@ -72,7 +73,12 @@ object Cleaner {
       }
     if (sorted.isEmpty) return Vector.empty
 
-    def ok(from: IndoorPoint, fromTs: Long, to: IndoorPoint, toTs: Long): Boolean = {
+    // Each record is located in the DSM once; `last` carries its own
+    // located point, and a floor-substituted candidate is located only
+    // when it is tried.
+    val loc = sorted.map(r => dsm.locate(r.point))
+
+    def ok(from: Located, fromTs: Long, to: Located, toTs: Long): Boolean = {
       val dt = (toTs - fromTs).toDouble
       dt > 0 && math.max(0.0, dsm.minWalkDist(from, to) - noiseSlack) / dt <= maxSpeed
     }
@@ -80,13 +86,15 @@ object Cleaner {
     val out = Vector.newBuilder[CleanRecord]
     var last = CleanRecord(sorted.head.deviceId, sorted.head.ts,
                            sorted.head.x, sorted.head.y, sorted.head.floor, "none")
+    var lastLoc = loc.head
     out += last
 
     var i = 1
     while (i < sorted.length) {
       val r = sorted(i)
-      if (ok(last.point, last.ts, r.point, r.ts)) {
+      if (ok(lastLoc, last.ts, loc(i), r.ts)) {
         last = CleanRecord(r.deviceId, r.ts, r.x, r.y, r.floor, "none")
+        lastLoc = loc(i)
         out += last
       } else {
         // Step 1: floor value correction — only for an *isolated* floor
@@ -96,9 +104,10 @@ object Cleaner {
         // old floor would cascade the error through the rest of the trace).
         val lookNext = (i + 1 until math.min(i + 1 + Lookahead, sorted.length))
         val corroborated = lookNext.isEmpty || lookNext.exists(j => sorted(j).floor == last.floor)
-        val fixed = IndoorPoint(r.x, r.y, last.floor)
-        if (r.floor != last.floor && corroborated && ok(last.point, last.ts, fixed, r.ts)) {
+        lazy val fixed = dsm.locate(IndoorPoint(r.x, r.y, last.floor))
+        if (r.floor != last.floor && corroborated && ok(lastLoc, last.ts, fixed, r.ts)) {
           last = CleanRecord(r.deviceId, r.ts, r.x, r.y, last.floor, "floor")
+          lastLoc = fixed
           out += last
         } else {
           // Trust-the-future re-anchor: when the upcoming records agree
@@ -107,12 +116,13 @@ object Cleaner {
           // wrong). Accept r as the new anchor instead of fabricating a
           // position from a bad base; this bounds any repair cascade.
           val votes = lookNext.take(3)
-          val agreeR = votes.count(j => ok(r.point, r.ts, sorted(j).point, sorted(j).ts))
-          val agreeLast = votes.count(j => ok(last.point, last.ts, sorted(j).point, sorted(j).ts))
+          val agreeR = votes.count(j => ok(loc(i), r.ts, loc(j), sorted(j).ts))
+          val agreeLast = votes.count(j => ok(lastLoc, last.ts, loc(j), sorted(j).ts))
           // Two independent corroborating records are required — one could
           // itself be a correlated outlier (or share r's floor error).
           if (votes.size >= 2 && agreeR >= 2 && agreeLast == 0) {
             last = CleanRecord(r.deviceId, r.ts, r.x, r.y, r.floor, "reanchor")
+            lastLoc = loc(i)
             out += last
           } else {
             // Step 2: location interpolation toward the next reachable
@@ -125,25 +135,26 @@ object Cleaner {
               if (lookNext.isEmpty) r.floor
               else lookNext.map(j => sorted(j).floor).groupBy(identity)
                 .maxBy { case (f, v) => (v.size, f == last.floor) }._1
-            def okAsIs(j: Int) = ok(last.point, last.ts, sorted(j).point, sorted(j).ts)
-            val anchor: Option[(IndoorPoint, Long)] =
+            def okAsIs(j: Int) = ok(lastLoc, last.ts, loc(j), sorted(j).ts)
+            val anchor: Option[(Located, Long)] =
               lookNext.find(j => sorted(j).floor == majorityFloor && okAsIs(j))
-                .map(j => (sorted(j).point, sorted(j).ts))
-                .orElse(lookNext.find(okAsIs).map(j => (sorted(j).point, sorted(j).ts)))
+                .orElse(lookNext.find(okAsIs))
+                .map(j => (loc(j), sorted(j).ts))
                 .orElse {
                   if (majorityFloor != last.floor) None
-                  else lookNext.find { j =>
-                    ok(last.point, last.ts, IndoorPoint(sorted(j).x, sorted(j).y, last.floor), sorted(j).ts)
-                  }.map(j => (IndoorPoint(sorted(j).x, sorted(j).y, last.floor), sorted(j).ts))
+                  else lookNext.iterator.map { j =>
+                    (dsm.locate(IndoorPoint(sorted(j).x, sorted(j).y, last.floor)), sorted(j).ts)
+                  }.find { case (target, ts) => ok(lastLoc, last.ts, target, ts) }
                 }
             val p = anchor match {
               case Some((target, targetTs)) =>
                 val frac = (r.ts - last.ts).toDouble / (targetTs - last.ts).toDouble
-                dsm.alongPath(last.point, target, frac)
+                dsm.walk(lastLoc, target).fold(last.point)(_.at(frac))
               case None =>
                 last.point // no reachable anchor ahead: hold the last valid location
             }
             last = CleanRecord(r.deviceId, r.ts, p.x, p.y, p.floor, "interp")
+            lastLoc = dsm.locate(p)
             out += last
           }
         }

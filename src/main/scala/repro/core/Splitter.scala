@@ -49,10 +49,11 @@ object Splitter {
     /** Flush a run of movement records, splitting at region transitions. */
     def flushMove(buf: Seq[CleanRecord]): Unit = {
       if (buf.isEmpty) return
+      val region = buf.iterator.map(regionOf).toArray
       var runStart = 0
       var i = 1
       while (i <= buf.length) {
-        if (i == buf.length || regionOf(buf(i)) != regionOf(buf(runStart))) {
+        if (i == buf.length || region(i) != region(runStart)) {
           out += Snippet(buf.head.deviceId, nextId, dense = false, buf.slice(runStart, i))
           nextId += 1
           runStart = i

@@ -74,18 +74,24 @@ object Metrics {
       .select("device_id", "sec", "p_event")
     val t = perSecond(truth.toDF()).withColumnRenamed("event", "t_event")
       .select("device_id", "sec", "t_event")
-    val j = t.join(p, Seq("device_id", "sec"), "inner").cache()
-    try {
-      Seq(Stay, PassBy).map { e =>
-        val tp = j.filter(col("t_event") === e && col("p_event") === e).count().toDouble
-        val fp = j.filter(col("t_event") =!= e && col("p_event") === e).count().toDouble
-        val fn = j.filter(col("t_event") === e && col("p_event") =!= e).count().toDouble
-        val prec = if (tp + fp == 0) 0.0 else tp / (tp + fp)
-        val rec  = if (tp + fn == 0) 0.0 else tp / (tp + fn)
-        val f1   = if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
-        e -> ((prec, rec, f1))
-      }.toMap
-    } finally { j.unpersist(); () }
+    val j = t.join(p, Seq("device_id", "sec"), "inner")
+    // One aggregation: (tp, fp, fn) per event as conditional counts.
+    val events = Seq(Stay, PassBy)
+    val counts = events.flatMap { e =>
+      Seq(col("t_event") === e && col("p_event") === e,
+          col("t_event") =!= e && col("p_event") === e,
+          col("t_event") === e && col("p_event") =!= e)
+    }.map(c => count(when(c, 1)))
+    val row = j.agg(counts.head, counts.tail: _*).head()
+    events.zipWithIndex.map { case (e, k) =>
+      val tp = row.getLong(3 * k).toDouble
+      val fp = row.getLong(3 * k + 1).toDouble
+      val fn = row.getLong(3 * k + 2).toDouble
+      val prec = if (tp + fp == 0) 0.0 else tp / (tp + fp)
+      val rec  = if (tp + fn == 0) 0.0 else tp / (tp + fn)
+      val f1   = if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
+      e -> ((prec, rec, f1))
+    }.toMap
   }
 
   /** Positioning-error statistics of a (cleaned or raw) record set against

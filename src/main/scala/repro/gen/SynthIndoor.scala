@@ -116,11 +116,11 @@ object SynthIndoor {
       * trace never violates the DSM's minimum-walking-distance speed model
       * that the Cleaner later enforces. */
     def walkTo(dst: IndoorPoint): Unit = {
-      val total = dsm.minWalkDist(cur, dst)
-      require(total.isFinite, s"unreachable $cur -> $dst")
+      val walk = dsm.walk(cur, dst).getOrElse(
+        throw new IllegalArgumentException(s"unreachable $cur -> $dst"))
       val v = cfg.walkSpeed * (0.85 + 0.3 * rng.nextDouble())
-      val dur = math.max(1, math.round(total / v).toInt)
-      for (s <- 1 to dur) emit(dsm.alongPath(cur, dst, s.toDouble / dur), PassBy)
+      val dur = math.max(1, math.round(walk.dist / v).toInt)
+      for (s <- 1 to dur) emit(walk.at(s.toDouble / dur), PassBy)
       cur = dst
     }
 
@@ -288,7 +288,8 @@ object SynthIndoor {
     def walkTo(dst: IndoorPoint, until: Long): Unit = {
       val dur = math.max(1, (until - t).toInt)
       val from = cur
-      for (s <- 1 to dur) emit(dsm.alongPath(from, dst, s.toDouble / dur), PassBy)
+      val walk = dsm.walk(from, dst)
+      for (s <- 1 to dur) emit(walk.fold(from)(_.at(s.toDouble / dur)), PassBy)
       cur = dst
     }
     /** Browse through a region without stopping: a waypoint walk that

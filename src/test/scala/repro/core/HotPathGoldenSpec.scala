@@ -1,0 +1,87 @@
+package repro.core
+
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.security.MessageDigest
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Schema._
+import repro.gen.{Mall, SynthIndoor}
+import repro.gen.SynthIndoor.SimConfig
+
+/** Golden digests of the indoor hot path's consumers at SF=0.01 (50
+  * devices, default seed): the simulator's ground truth, raw records and
+  * gaps, the Cleaner's output, the Splitter's snippets, and the Table 1
+  * scenario. Doubles enter the digest as raw IEEE-754 bits, so any change
+  * in a floating-point term — not just a visible one — changes the digest.
+  *
+  * The digests were recorded from the linear-scan `Dsm` that preceded
+  * `Dsm.locate`/`route`; a refactor of point location or route search
+  * must reproduce them record for record.
+  */
+class HotPathGoldenSpec extends AnyFunSuite {
+
+  private lazy val dsm = Mall.dsm()
+  private val cfg = SimConfig(nDevices = 50)
+  private lazy val sims = (0 until cfg.nDevices).map(SynthIndoor.simulate(dsm, cfg, _))
+  private lazy val cleaned = sims.map(s => Cleaner.cleanDevice(dsm, s.raw))
+
+  /** SHA-256 over whatever `feed` writes, as hex. */
+  private def digest(feed: DataOutputStream => Unit): String = {
+    val bytes = new ByteArrayOutputStream()
+    val out = new DataOutputStream(bytes)
+    feed(out)
+    out.flush()
+    MessageDigest.getInstance("SHA-256").digest(bytes.toByteArray).map("%02x".format(_)).mkString
+  }
+
+  private def dbl(out: DataOutputStream, d: Double): Unit =
+    out.writeLong(java.lang.Double.doubleToRawLongBits(d))
+
+  private def writeSim(out: DataOutputStream, s: SynthIndoor.DeviceSim): Unit = {
+    out.writeUTF(s.deviceId)
+    out.writeInt(s.gt.size)
+    s.gt.foreach { g =>
+      out.writeLong(g.ts); dbl(out, g.x); dbl(out, g.y); out.writeInt(g.floor)
+      out.writeUTF(g.regionId); out.writeUTF(g.tag); out.writeUTF(g.event)
+    }
+    out.writeInt(s.raw.size)
+    s.raw.foreach { r => out.writeLong(r.ts); dbl(out, r.x); dbl(out, r.y); out.writeInt(r.floor) }
+    out.writeInt(s.gaps.size)
+    s.gaps.foreach { case (a, b) => out.writeLong(a); out.writeLong(b) }
+  }
+
+  private def writeClean(out: DataOutputStream, rs: Seq[CleanRecord]): Unit = {
+    out.writeInt(rs.size)
+    rs.foreach { r =>
+      out.writeUTF(r.deviceId); out.writeLong(r.ts); dbl(out, r.x); dbl(out, r.y)
+      out.writeInt(r.floor); out.writeUTF(r.repair)
+    }
+  }
+
+  test("simulated ground truth, raw records and gaps match the golden digest") {
+    assert(digest(out => sims.foreach(writeSim(out, _))) ==
+      "02db6acfd339d9d2290dc0365e6f7c5f07837bc53d664ffa7d0ea8a8839630b6")
+  }
+
+  test("cleaned records match the golden digest") {
+    assert(cleaned.map(_.size).sum > 10000)
+    assert(digest(out => cleaned.foreach(writeClean(out, _))) ==
+      "b438a44d062f5ab8b64fe97b7ba536f957d41b13f08e144f1be65e9566b9fe1d")
+  }
+
+  test("snippets of the cleaned records match the golden digest") {
+    val d = digest { out =>
+      cleaned.foreach { rs =>
+        Splitter.split(dsm, rs).foreach { s =>
+          out.writeInt(s.snippetId); out.writeBoolean(s.dense); writeClean(out, s.records)
+        }
+      }
+    }
+    assert(d == "76fd15318aa403c9d5f37ab5db5afd6be9263463c04e22f34ed77503b5eb08fa")
+  }
+
+  test("Table 1 scenario matches the golden digest") {
+    val s = SynthIndoor.table1Scenario(dsm)
+    assert(digest(out => writeSim(out, s)) ==
+      "bba191186654dc76436b6aabba3b4d900a43e831e87e5d5052321362eb5b42af")
+  }
+}

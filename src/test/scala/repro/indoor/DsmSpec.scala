@@ -72,6 +72,42 @@ class DsmSpec extends AnyFunSuite {
     assert(dsm.snap(p(26, 5, 0)) == p(25, 5, 0))
   }
 
+  test("locate: an inside point is its own snap, in the smallest containing region") {
+    val l = dsm.locate(p(5, 5, 0))
+    assert(l.point == p(5, 5, 0) && l.region.map(_.id).contains("A"))
+    val small = Region("SM", 0, Rect(4, 4, 6, 6), "Small", "room")
+    assert(new Dsm(regions :+ small, doors).locate(p(5, 5, 0)).region.map(_.id).contains("SM"))
+  }
+  test("locate: an outside point snaps to the nearest wall") {
+    val l = dsm.locate(p(26, 5, 0))
+    assert(l.point == p(25, 5, 0) && l.region.map(_.id).contains("S0"))
+  }
+  test("locate: a floor without regions is off the map") {
+    val l = dsm.locate(p(5, 5, 9))
+    assert(l.point == p(5, 5, 9) && l.region.isEmpty)
+    assert(dsm.minWalkDist(p(5, 5, 9), p(5, 5, 0)).isInfinity)
+  }
+
+  private val nonFinite = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+  for (v <- nonFinite) {
+    test(s"a point with x or y = $v is off the map") {
+      for (q <- Seq(p(v, 5, 0), p(5, v, 0), p(v, v, 1))) {
+        val l = dsm.locate(q)
+        assert(l.region.isEmpty)
+        assert(l.point eq q) // kept as is, not clamped onto a wall
+        assert(dsm.snap(q) eq q)
+        assert(dsm.regionAt(q).isEmpty)
+        assert(dsm.nearestRegion(q).isEmpty)
+        assert(dsm.regionAtSnapped(q).isEmpty)
+        assert(dsm.minWalkDist(q, p(5, 5, 0)) == Double.PositiveInfinity)
+        assert(dsm.minWalkDist(p(5, 5, 0), q) == Double.PositiveInfinity)
+        assert(dsm.minWalkDist(q, q) == Double.PositiveInfinity)
+        assert(dsm.walkPath(q, p(5, 5, 0)).isEmpty)
+        assert(dsm.alongPath(q, p(5, 5, 0), 0.5) eq q)
+      }
+    }
+  }
+
   test("minWalkDist within one region is Euclidean") {
     assert(math.abs(dsm.minWalkDist(p(1, 1, 0), p(4, 5, 0)) - 5.0) < 1e-9)
   }
