@@ -31,32 +31,35 @@ object Annotator {
   def annotateDevice(dsm: Dsm, model: EventModel, records: Seq[CleanRecord],
                      cfg: Config = Config()): Vector[Semantic] = {
     val snippets = Splitter.split(dsm, records, cfg.eps, cfg.minDur, cfg.sessionGap)
-    val raw = snippets.flatMap { s =>
-      SpatialMatcher.matchSnippet(dsm, s).map { region =>
+    // Adjacent semantics with identical (event, region) within a session
+    // gap merge into `open`, which is emitted when the next one differs.
+    val out = Vector.newBuilder[Semantic]
+    var open: Semantic = null
+    var seqNo = 0
+    def emit(): Unit = if (open != null) { out += open.copy(seqNo = seqNo); seqNo += 1 }
+    snippets.foreach { s =>
+      SpatialMatcher.matchSnippet(dsm, s).foreach { region =>
         val event = model.annotate(Features.ofSnippet(s))
-        Semantic(s.deviceId, s.snippetId, event, region.tag, region.id,
-                 s.tStart, s.tEnd, source = "annotated")
+        if (open != null && open.event == event && open.regionId == region.id &&
+            s.tStart - open.tEnd <= cfg.sessionGap) {
+          open = open.copy(tEnd = s.tEnd)
+        } else {
+          emit()
+          open = Semantic(s.deviceId, s.snippetId, event, region.tag, region.id,
+                          s.tStart, s.tEnd, source = "annotated")
+        }
       }
     }
-    // Merge adjacent semantics with identical (event, region) and renumber.
-    val merged = raw.foldLeft(Vector.empty[Semantic]) {
-      case (acc, s) if acc.nonEmpty &&
-          acc.last.event == s.event && acc.last.regionId == s.regionId &&
-          s.tStart - acc.last.tEnd <= cfg.sessionGap =>
-        acc.init :+ acc.last.copy(tEnd = s.tEnd)
-      case (acc, s) => acc :+ s
-    }
-    merged.zipWithIndex.map { case (s, i) => s.copy(seqNo = i) }
+    emit()
+    out.result()
   }
 
   /** Annotate all devices' cleaned records; device-parallel through its
-    * own `groupByKey`. */
+    * own shuffle on the `deviceId` column. */
   def annotate(spark: SparkSession, cleaned: Dataset[CleanRecord],
                dsm: Broadcast[Dsm], model: EventModel,
                cfg: Config = Config()): Dataset[Semantic] = {
     import spark.implicits._
-    cleaned.groupByKey(_.deviceId).flatMapGroups { (_, it) =>
-      annotateDevice(dsm.value, model, it.toVector.sortBy(_.ts), cfg)
-    }
+    PerDevice.flatMap(cleaned)(_.deviceId)(rs => annotateDevice(dsm.value, model, rs.sortBy(_.ts), cfg))
   }
 }

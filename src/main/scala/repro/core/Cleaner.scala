@@ -83,10 +83,16 @@ object Cleaner {
       dt > 0 && math.max(0.0, dsm.minWalkDist(from, to) - noiseSlack) / dt <= maxSpeed
     }
 
+    // The first record is the first anchor. Off the map (a non-finite x or
+    // y, or a floor the DSM does not model) it can anchor nothing, so it
+    // takes the location of the first on-map record, as an interpolation;
+    // a device with no on-map record keeps it as it is.
+    val anchor = if (loc.head.region.isDefined) 0 else math.max(0, loc.indexWhere(_.region.isDefined))
+    val a = sorted(anchor)
     val out = Vector.newBuilder[CleanRecord]
-    var last = CleanRecord(sorted.head.deviceId, sorted.head.ts,
-                           sorted.head.x, sorted.head.y, sorted.head.floor, "none")
-    var lastLoc = loc.head
+    var last = CleanRecord(a.deviceId, sorted.head.ts, a.x, a.y, a.floor,
+                           if (anchor == 0) "none" else "interp")
+    var lastLoc = loc(anchor)
     out += last
 
     var i = 1
@@ -165,13 +171,12 @@ object Cleaner {
   }
 
   /** Clean all devices' records; device-parallel through its own
-    * `groupByKey`. */
+    * shuffle on the `deviceId` column. */
   def clean(spark: SparkSession, raw: Dataset[PosRecord], dsm: Broadcast[Dsm],
             maxSpeed: Double = DefaultMaxSpeed,
             noiseSlack: Double = DefaultNoiseSlack): Dataset[CleanRecord] = {
     import spark.implicits._
-    raw.groupByKey(_.deviceId)
-      .flatMapGroups((_, it) => cleanDevice(dsm.value, it.toSeq, maxSpeed, noiseSlack))
+    PerDevice.flatMap(raw)(_.deviceId)(cleanDevice(dsm.value, _, maxSpeed, noiseSlack))
   }
 
   /** Consecutive-pair speeds per device using straight-line (Euclidean)

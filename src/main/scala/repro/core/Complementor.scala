@@ -65,8 +65,9 @@ object Complementor {
       }
       if (cost <= best.getOrElse(cur, Double.MaxValue) && hops < MaxHops) {
         val nexts = dsm.adjacentRegions(cur)
+        val mass = km.mass(cur, nexts)
         nexts.foreach { nxt =>
-          val p = km.prob(cur, nxt, nexts)
+          val p = km.prob(cur, nxt, mass)
           val nc = cost - math.log(math.max(p, 1e-12))
           if (nc < best.getOrElse(nxt, Double.MaxValue)) {
             best(nxt) = nc; parent(nxt) = cur
@@ -139,15 +140,13 @@ object Complementor {
   }
 
   /** Complement all devices' annotated semantics, device-parallel through
-    * its own `groupByKey`; knowledge and DSM ride a broadcast.
-    * `Translator.translate` instead calls [[complementDevice]] on the
-    * partitions of its per-device pass, with no shuffle. */
+    * its own shuffle on the `deviceId` column; knowledge and DSM ride a
+    * broadcast. `Translator.translate` instead calls [[complementDevice]]
+    * on the partitions of its per-device pass, with no shuffle. */
   def complement(spark: SparkSession, semantics: Dataset[Semantic],
                  dsm: Broadcast[Dsm], km: Broadcast[KnowledgeModel],
                  gapThreshold: Long = DefaultGapThreshold): Dataset[Semantic] = {
     import spark.implicits._
-    semantics.groupByKey(_.deviceId).flatMapGroups { (_, it) =>
-      complementDevice(dsm.value, km.value, it.toSeq, gapThreshold)
-    }
+    PerDevice.flatMap(semantics)(_.deviceId)(complementDevice(dsm.value, km.value, _, gapThreshold))
   }
 }

@@ -17,38 +17,75 @@ object Features {
   /** Heading changes sharper than this count as a turn (radians). */
   val TurnMinAngle = math.Pi / 4
 
-  /** Extract the feature vector of a snippet's records (time-sorted). */
+  /** Extract the feature vector of a snippet's records (time-sorted).
+    *
+    * One pass over the coordinates as primitive arrays (plus one for the
+    * variance about the centroid). Every floating-point term is fixed:
+    * sums accumulate from 0.0 in record order, the bounding box takes the
+    * first minimum and maximum in `Ordering.Double.TotalOrdering` (so a
+    * NaN coordinate fails `Rect`'s check), and turns are counted over the
+    * jitter-filtered points as they are kept.
+    */
   def of(deviceId: String, snippetId: Int, records: Seq[CleanRecord]): SnippetFeatures = {
     require(records.nonEmpty, "features of empty snippet")
-    val pts = records.map(r => Pt(r.x, r.y))
-    val duration = math.max(1L, records.last.ts - records.head.ts).toDouble
+    val n = records.size
+    val xs = new Array[Double](n)
+    val ys = new Array[Double](n)
+    val ts = new Array[Long](n)
+    var k = 0
+    records.foreach { r => xs(k) = r.x; ys(k) = r.y; ts(k) = r.ts; k += 1 }
+    val duration = math.max(1L, ts(n - 1) - ts(0)).toDouble
 
-    val pathLen = pathLength(pts)
+    var pathLen, maxSpeed, sumX, sumY = 0.0
+    var xMin, xMax = xs(0)
+    var yMin, yMax = ys(0)
+    // Turns: the last kept point and the heading into it, which exists
+    // once two points are kept. Consecutive kept points are at least
+    // TurnMinStep apart, so they differ and each pair has a heading.
+    var mx, my, lastHeading = 0.0
+    var kept = 0
+    var nTurns = 0
+    var i = 0
+    while (i < n) {
+      val x = xs(i); val y = ys(i)
+      if (i > 0) {
+        val step = math.hypot(xs(i - 1) - x, ys(i - 1) - y)
+        pathLen += step
+        if (ts(i) > ts(i - 1)) maxSpeed = math.max(maxSpeed, step / (ts(i) - ts(i - 1)))
+      }
+      sumX += x; sumY += y
+      if (java.lang.Double.compare(xMin, x) > 0) xMin = x
+      if (java.lang.Double.compare(xMax, x) < 0) xMax = x
+      if (java.lang.Double.compare(yMin, y) > 0) yMin = y
+      if (java.lang.Double.compare(yMax, y) < 0) yMax = y
+      if (kept == 0 || math.hypot(mx - x, my - y) >= TurnMinStep) {
+        if (kept > 0) {
+          val h = math.atan2(y - my, x - mx)
+          if (kept > 1 && turnAngle(lastHeading, h) >= TurnMinAngle) nTurns += 1
+          lastHeading = h
+        }
+        mx = x; my = y; kept += 1
+      }
+      i += 1
+    }
     val avgSpeed = pathLen / duration
-    val maxSpeed = records.sliding(2).collect {
-      case Seq(a, b) if b.ts > a.ts => Pt(a.x, a.y).dist(Pt(b.x, b.y)) / (b.ts - a.ts)
-    }.foldLeft(0.0)(math.max)
 
-    val cx = pts.map(_.x).sum / pts.size
-    val cy = pts.map(_.y).sum / pts.size
-    val locVariance = pts.map(p => { val dx = p.x - cx; val dy = p.y - cy; dx * dx + dy * dy }).sum / pts.size
+    val cx = sumX / n
+    val cy = sumY / n
+    var sq = 0.0
+    i = 0
+    while (i < n) {
+      val dx = xs(i) - cx; val dy = ys(i) - cy
+      sq += dx * dx + dy * dy
+      i += 1
+    }
+    val locVariance = sq / n
 
-    val bbox = Rect.bound(pts)
+    val bbox = Rect(xMin, yMin, xMax, yMax)
     val coveringRange = math.hypot(bbox.width, bbox.height)
 
-    // Turns over jitter-filtered displacement vectors.
-    val moves = pts.foldLeft(Vector.empty[Pt]) {
-      case (acc, p) if acc.isEmpty || acc.last.dist(p) >= TurnMinStep => acc :+ p
-      case (acc, _)                                                   => acc
-    }
-    val headings = moves.sliding(2).collect { case Vector(a, b) if a != b => heading(a, b) }.toVector
-    val nTurns = headings.sliding(2).count {
-      case Vector(h1, h2) => turnAngle(h1, h2) >= TurnMinAngle
-      case _              => false
-    }
-
     SnippetFeatures(deviceId, snippetId, duration, pathLen, avgSpeed, maxSpeed,
-                    locVariance, coveringRange, nTurns.toDouble, records.size.toDouble)
+                    locVariance, coveringRange, nTurns.toDouble, n.toDouble)
   }
 
   def ofSnippet(s: Snippet): SnippetFeatures = of(s.deviceId, s.snippetId, s.records)

@@ -37,11 +37,17 @@ object Knowledge {
 
     /** Smoothed P(to | from) restricted to `candidates` (the topologically
       * reachable successors — a transition must respect the space). */
-    def prob(from: String, to: String, candidates: Set[String]): Double = {
-      val denom = candidates.toSeq.map(c => transitions.getOrElse((from, c), 0L)).sum +
-        alpha * candidates.size
-      (transitions.getOrElse((from, to), 0L) + alpha) / denom
-    }
+    def prob(from: String, to: String, candidates: Set[String]): Double =
+      prob(from, to, mass(from, candidates))
+
+    /** The denominator of [[prob]] for `from` and `candidates`: their
+      * observed transitions (an exact integer sum) plus the smoothing. */
+    def mass(from: String, candidates: Set[String]): Double =
+      candidates.iterator.map(c => transitions.getOrElse((from, c), 0L)).sum + alpha * candidates.size
+
+    /** [[prob]] given the candidates' [[mass]]. */
+    def prob(from: String, to: String, mass: Double): Double =
+      (transitions.getOrElse((from, to), 0L) + alpha) / mass
 
     /** Expected dwell in a region (s); global default when unseen. */
     def expectedDwell(regionId: String): Double = dwell.getOrElse(regionId, defaultDwell)
@@ -125,10 +131,8 @@ object Knowledge {
 
   /** Build the broadcastable model from annotated semantics: one
     * [[Summary]] per device, merged. */
-  def build(spark: SparkSession, semantics: Dataset[Semantic], alpha: Double = 0.5): KnowledgeModel = {
-    import spark.implicits._
-    Summary.mergeAll(semantics.groupByKey(_.deviceId)
-      .mapGroups((_, it) => Summary.ofDevice(it.toSeq))(Summary.encoder)
-      .collect()).toModel(alpha)
-  }
+  def build(spark: SparkSession, semantics: Dataset[Semantic], alpha: Double = 0.5): KnowledgeModel =
+    Summary.mergeAll(PerDevice.flatMap(semantics)(_.deviceId) { ss =>
+      Iterator(Summary.ofDevice(ss))
+    }(Summary.encoder).collect()).toModel(alpha)
 }

@@ -10,7 +10,8 @@ import repro.indoor.{Dsm, Region}
   *
   * Two forms:
   *  - [[matchSnippet]] — the pipeline's per-snippet matcher: majority vote
-  *    of the member records' containing regions (noise-robust);
+  *    of the member records' containing regions (noise-robust), skipped
+  *    when they all agree;
   *  - [[matchRecords]] — a record-level point-in-region DataFrame join
   *    against the DSM regions, used for analyses and oracle-checked tests
   *    (it is plain relational algebra: floor equality + range predicates).
@@ -20,11 +21,18 @@ object SpatialMatcher {
   /** Majority containing region over the snippet's records; record-level
     * ties break toward the smaller region (a shop beats the corridor), and
     * out-of-wall records snap to the nearest region on their floor. None
-    * when no record's floor has a region (the snippet is off the map). */
+    * when no record's floor has a region (the snippet is off the map).
+    *
+    * Most snippets lie in one region; that region is returned without a
+    * vote. Otherwise the vote counts per region id, and a tie in both count
+    * and area goes to the first maximum in the `groupBy` map's iteration
+    * order.
+    */
   def matchSnippet(dsm: Dsm, s: Snippet): Option[Region] = {
-    val votes = s.records.flatMap(r => dsm.regionAtSnapped(r.point)).groupBy(_.id)
-    if (votes.isEmpty) None
-    else Some(votes.maxBy { case (_, v) => (v.size, -v.head.rect.area) }._2.head)
+    val regions = s.records.flatMap(r => dsm.regionAtSnapped(r.point))
+    if (regions.isEmpty) None
+    else if (regions.forall(_.id == regions.head.id)) Some(regions.head)
+    else Some(regions.groupBy(_.id).maxBy { case (_, v) => (v.size, -v.head.rect.area) }._2.head)
   }
 
   /** The DSM regions as a DataFrame (region_id, floor, x_min, y_min,

@@ -12,10 +12,11 @@ import repro.indoor.Dsm
   * generates the corresponding mobility semantics sequence", processed
   * through Cleaning → Annotation → Complementing "without manual
   * interventions". Each layer is a per-device function; only the knowledge
-  * prior needs to see every device. So a translation is one shuffle by
-  * `deviceId`, in which each device is cleaned and annotated; the
-  * knowledge is merged from per-device summaries, and the complement runs
-  * on the partitions that shuffle produced. The layers' own Spark entry
+  * prior needs to see every device. So a translation is one shuffle on
+  * the `deviceId` column, after which each device's rows are one
+  * consecutive run that is cleaned and annotated; the knowledge is merged
+  * from per-device summaries, and the complement runs on the partitions
+  * that shuffle produced, one per core. The layers' own Spark entry
   * points (`Cleaner.clean`, `Annotator.annotate`, ...) stay available for
   * the Viewer to trace intermediate data.
   */
@@ -45,31 +46,34 @@ object Translator {
   }
 
   /** Translate the selected raw positioning sequences into mobility
-    * semantics sequences. One pass shuffles by device, cleans and
-    * annotates each device, caches the annotated semantics and returns one
-    * knowledge [[Knowledge.Summary]] per partition; no further shuffle
-    * follows, because every device's semantics sit in the partition its
-    * group ran in.
+    * semantics sequences. One pass shuffles on the `deviceId` column,
+    * cleans and annotates each device's consecutive run of rows, caches the
+    * annotated semantics and returns one knowledge [[Knowledge.Summary]]
+    * per partition; no further shuffle follows, because every device's
+    * semantics sit in the partition its run went through.
+    *
+    * The pass is coalesced to at most one partition per core before the
+    * cache. Adaptive execution would merge the small shuffle partitions
+    * itself, but it may not change the partitioning of a plan that is
+    * cached, so without the coalesce the pass and both passes over the
+    * cache (knowledge and complement) each run one tiny task per shuffle
+    * partition.
     */
   def translate(spark: SparkSession, raw: Dataset[PosRecord], dsm: Dsm,
                 model: EventModel, cfg: Config = Config()): Result = {
     import spark.implicits._
     val b = spark.sparkContext.broadcast(dsm)
-    val annotated = raw.groupByKey(_.deviceId).flatMapGroups { (_, it) =>
-      val cleaned = Cleaner.cleanDevice(b.value, it.toSeq, cfg.maxSpeed)
-      Annotator.annotateDevice(b.value, model, cleaned, cfg.annotator)
-    }.cache()
-    val km = Summary.mergeAll(annotated
-      .mapPartitions(it => Iterator(Summary.mergeAll(byDevice(it).map(Summary.ofDevice))))(Summary.encoder)
-      .collect()).toModel(cfg.knowledgeAlpha)
+    val annotated = PerDevice.flatMap(raw)(_.deviceId) { rs =>
+      Annotator.annotateDevice(b.value, model, Cleaner.cleanDevice(b.value, rs, cfg.maxSpeed), cfg.annotator)
+    }.coalesce(spark.sparkContext.defaultParallelism).cache()
+    val km = Summary.mergeAll(annotated.mapPartitions { it =>
+      Iterator(Summary.mergeAll(PerDevice.runs(it)(_.deviceId).map(Summary.ofDevice)))
+    }(Summary.encoder).collect()).toModel(cfg.knowledgeAlpha)
     val bk = spark.sparkContext.broadcast(km)
     val semantics = annotated.mapPartitions { it =>
-      byDevice(it).flatMap(ss => Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold))
+      PerDevice.runs(it)(_.deviceId)
+        .flatMap(ss => Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold))
     }
     Result(Cleaner.clean(spark, raw, b, cfg.maxSpeed), annotated, km, semantics)(Seq(b, bk))
   }
-
-  /** One partition's semantics grouped by device, in device-id order. */
-  private def byDevice(it: Iterator[Semantic]): Iterator[Vector[Semantic]] =
-    it.toVector.groupBy(_.deviceId).toVector.sortBy(_._1).iterator.map(_._2)
 }

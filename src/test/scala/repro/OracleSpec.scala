@@ -1,58 +1,44 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.gen.{Mall, SynthIndoor}
+import repro.gen.SynthIndoor.SimConfig
 
-/** Sanity checks of the DuckDB oracle machinery itself (and of the
-  * provided TPC-H-lite generators), so oracle-based assertions elsewhere
-  * are trustworthy: a correct query must pass, a wrong one must fail. */
+/** Sanity checks of the DuckDB oracle machinery itself, on simulated raw
+  * positioning records, so oracle-based assertions elsewhere are
+  * trustworthy: a correct query must pass, a wrong one must fail. */
 class OracleSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.002).cache()
+  private lazy val raw =
+    SynthIndoor.raw(spark, Mall.dsm(), SimConfig(nDevices = 5)).toDF().cache()
 
   test("a correct aggregation passes the oracle") {
-    val q = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("n"), round(sum("l_quantity"), 2).as("qty"))
+    val q = raw.groupBy("floor")
+      .agg(count(lit(1)).as("n"), round(sum("x"), 2).as("sum_x"))
     Oracle.assertEquivalent(q,
-      """SELECT l_returnflag, count(*) AS n,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT CAST(floor AS INT) AS floor, count(*) AS n,
+        |       round(sum(CAST(x AS DOUBLE)), 2) AS sum_x
+        |FROM raw GROUP BY floor""".stripMargin,
+      "raw" -> raw)
   }
 
   test("a wrong result is rejected with a row diff") {
-    val q = li.groupBy("l_returnflag").agg((count(lit(1)) + 1).as("n"))
+    val q = raw.groupBy("floor").agg((count(lit(1)) + 1).as("n"))
     val e = intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(q,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT CAST(floor AS INT) AS floor, count(*) AS n FROM raw GROUP BY floor",
+        "raw" -> raw)
     }
     assert(e.getMessage.contains("result mismatch"))
   }
 
   test("a column-name mismatch is rejected up front") {
-    val q = li.groupBy("l_returnflag").agg(count(lit(1)).as("wrong_name"))
+    val q = raw.groupBy("floor").agg(count(lit(1)).as("wrong_name"))
     val e = intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(q,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT CAST(floor AS INT) AS floor, count(*) AS n FROM raw GROUP BY floor",
+        "raw" -> raw)
     }
     assert(e.getMessage.contains("column mismatch"))
-  }
-
-  test("TPC-H-lite generators are deterministic in (sf, seed)") {
-    val a = SynthData.orders(spark, sf = 0.001).agg(sum("o_totalprice")).head().getDouble(0)
-    val b = SynthData.orders(spark, sf = 0.001).agg(sum("o_totalprice")).head().getDouble(0)
-    assert(a == b)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1)
-        .head().getLong(1).toDouble
-      top / 20000
-    }
-    assert(topShare(z) > 5 * topShare(u))
   }
 }

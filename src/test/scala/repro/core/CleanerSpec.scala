@@ -162,6 +162,27 @@ class CleanerSpec extends AnyFunSuite {
     }
   }
 
+  test("an off-map first record takes the location of the first on-map record") {
+    val rest = Seq(rec(5, 2, 5), rec(10, 3, 5), rec(15, 4, 5))
+    Seq(rec(0, Double.NaN, 5), rec(0, 1, Double.PositiveInfinity), rec(0, 1, 5, f = 99)).foreach { first =>
+      val out = cleanExact(first +: rest)
+      assert(out.head == CleanRecord("dev", 0, 2, 5, 0, "interp"), s"first $first")
+      assert(out.tail.map(_.toPos) == rest.toVector)
+      assert(out.tail.forall(_.repair == "none"))
+    }
+    // Two off-map records first: both are repaired; one record per timestamp.
+    val out = cleanExact(Seq(rec(0, Double.NaN, 5), rec(2, 2, 5, f = 99)) ++ rest)
+    assert(out.map(_.ts) == Vector(0L, 2L, 5L, 10L, 15L))
+    assert(out.take(2).map(r => (r.x, r.y, r.floor)) == Vector((2.0, 5.0, 0), (2.0, 5.0, 0)))
+    assert(out.take(2).forall(_.repair != "none"))
+  }
+
+  test("a device with no on-map record keeps one record per timestamp") {
+    val out = cleanExact(Seq(rec(0, 1, 5, f = 99), rec(5, 2, 5, f = 99), rec(5, 3, 5, f = 99)))
+    assert(out.map(_.ts) == Vector(0L, 5L))
+    assert(out.head == CleanRecord("dev", 0, 1, 5, 99, "none"))
+  }
+
   test("mall-scale cleaning reduces positioning error vs ground truth") {
     import repro.gen.SynthIndoor
     val mall = Mall.dsm()

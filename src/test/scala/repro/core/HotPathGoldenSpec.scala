@@ -6,16 +6,21 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Schema._
 import repro.gen.{Mall, SynthIndoor}
 import repro.gen.SynthIndoor.SimConfig
+import repro.ml.LogisticRegression
 
 /** Golden digests of the indoor hot path's consumers at SF=0.01 (50
   * devices, default seed): the simulator's ground truth, raw records and
-  * gaps, the Cleaner's output, the Splitter's snippets, and the Table 1
-  * scenario. Doubles enter the digest as raw IEEE-754 bits, so any change
-  * in a floating-point term — not just a visible one — changes the digest.
+  * gaps, the Cleaner's output, the Splitter's snippets, the Annotator's and
+  * the Complementor's semantics (also for a dirty feed with a hole in every
+  * device), and the Table 1 scenario. Doubles enter the digest as raw
+  * IEEE-754 bits, so any change in a floating-point term — not just a
+  * visible one — changes the digest.
   *
-  * The digests were recorded from the linear-scan `Dsm` that preceded
-  * `Dsm.locate`/`route`; a refactor of point location or route search
-  * must reproduce them record for record.
+  * The first four digests were recorded from the linear-scan `Dsm` that
+  * preceded `Dsm.locate`/`route`, the semantics digests from the
+  * collection-based `Features.of`, `SpatialMatcher.matchSnippet` and
+  * Annotator merge and the per-neighbour `mapPath` denominator; a refactor
+  * of those must reproduce them record for record.
   */
 class HotPathGoldenSpec extends AnyFunSuite {
 
@@ -77,6 +82,52 @@ class HotPathGoldenSpec extends AnyFunSuite {
       }
     }
     assert(d == "76fd15318aa403c9d5f37ab5db5afd6be9263463c04e22f34ed77503b5eb08fa")
+  }
+
+  private def writeSemantics(out: DataOutputStream, ss: Seq[Semantic]): Unit = {
+    out.writeInt(ss.size)
+    ss.foreach { s =>
+      out.writeUTF(s.deviceId); out.writeInt(s.seqNo); out.writeUTF(s.event); out.writeUTF(s.tag)
+      out.writeUTF(s.regionId); out.writeLong(s.tStart); out.writeLong(s.tEnd); out.writeUTF(s.source)
+    }
+  }
+
+  /** Annotated and complemented semantics of every device of `sims`. The
+    * event model is fitted to the features of the first 20 devices'
+    * snippets (label: dense), so its weights depend on every feature bit;
+    * the knowledge is merged from all devices' annotated semantics. */
+  private def annotateAndComplement(sims: Seq[SynthIndoor.DeviceSim])
+      : (Seq[Vector[Semantic]], Seq[Vector[Semantic]]) = {
+    val cleaned = sims.map(s => Cleaner.cleanDevice(dsm, s.raw))
+    val train = cleaned.take(20).flatMap(Splitter.split(dsm, _))
+    val model = EventModel(LogisticRegression.fit(train.map(Features.ofSnippet(_).vector),
+                                                  train.map(s => if (s.dense) 1 else 0)))
+    val annotated = cleaned.map(Annotator.annotateDevice(dsm, model, _))
+    val km = Knowledge.Summary.mergeAll(annotated.map(Knowledge.Summary.ofDevice)).toModel(0.5)
+    (annotated, annotated.map(Complementor.complementDevice(dsm, km, _)))
+  }
+
+  /** T4's gap settings with a dirtier feed: a hole in every device. */
+  private val dirtyCfg = SimConfig(nDevices = 50, floorErrProb = 0.08, outlierProb = 0.05,
+                                   gapProb = 1.0, gapMinSec = 120, gapMaxSec = 420)
+
+  test("annotated and complemented semantics match the golden digests") {
+    val (annotated, complemented) = annotateAndComplement(sims)
+    assert(complemented.exists(_.exists(_.source == "inferred")))
+    assert(digest(out => annotated.foreach(writeSemantics(out, _))) ==
+      "be5e74167c535a07c09307fdfe94368679f78143b055133409b3e8702ae66daa")
+    assert(digest(out => complemented.foreach(writeSemantics(out, _))) ==
+      "a99447e0b21b1a3fe952112b71b3b986cbe1aba62d0ef416e3c240a37489799f")
+  }
+
+  test("annotated and complemented semantics of a dirty feed match the golden digests") {
+    val (annotated, complemented) =
+      annotateAndComplement((0 until dirtyCfg.nDevices).map(SynthIndoor.simulate(dsm, dirtyCfg, _)))
+    assert(complemented.exists(_.exists(_.source == "inferred")))
+    assert(digest(out => annotated.foreach(writeSemantics(out, _))) ==
+      "760455366bedecc5c11e6fd00332e2a601a5736c2ab6b20b4940ceba4ad8f8db")
+    assert(digest(out => complemented.foreach(writeSemantics(out, _))) ==
+      "dc3cfc2fe6586eefaa8feeb8d758e39e1e440762dc9fd3484ec1d99cf97c1fee")
   }
 
   test("Table 1 scenario matches the golden digest") {

@@ -158,6 +158,11 @@ class TranslatorSpec extends SparkSpec {
     assert(shuffles(result.semantics.rdd) == 1)
   }
 
+  test("the cached per-device pass has at most one partition per core") {
+    val (result, _, _) = fixture
+    assert(result.annotated.rdd.getNumPartitions <= spark.sparkContext.defaultParallelism)
+  }
+
   test("unpersist releases what the translation cached") {
     val (_, _, model) = fixture
     val sc = spark.sparkContext
