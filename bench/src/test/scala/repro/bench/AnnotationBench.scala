@@ -13,13 +13,9 @@ import repro.gen.SynthIndoor
 class AnnotationBench extends BenchBase {
 
   test("T3: annotation quality, TRIPS vs stop/move baseline") {
-    import spark.implicits._
     val cfg = cfgFor(nDevices = (5000 * BenchSf).toInt)
-    val model = trainModel(cfg, trainFraction = 0.2)
+    val (model, trainDevs) = EventEditor.trainOnSimulation(spark, dsm, cfg, trainFraction = 0.2)
 
-    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
-    val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId).distinct, 0.2)
-    val evalTruth = truth.filterNot(s => trainDevs.contains(s.deviceId))
     val evalRaw = SynthIndoor.raw(spark, dsm, cfg)
       .filter(r => !trainDevs.contains(r.deviceId)).cache()
 
@@ -27,7 +23,8 @@ class AnnotationBench extends BenchBase {
     val trips = Translator.translate(spark, evalRaw, dsm, model).semantics.cache()
     val base = StopMove.annotate(spark, evalRaw, b).cache()
 
-    val evalTruthDs = evalTruth.toDS().cache()
+    val evalTruthDs = SynthIndoor.truthSemantics(spark, dsm, cfg)
+      .filter(s => !trainDevs.contains(s.deviceId)).cache()
     val aT = Metrics.agreement(spark, trips, evalTruthDs)
     val aB = Metrics.agreement(spark, base, evalTruthDs)
     val prfT = Metrics.eventPrf(spark, trips, evalTruthDs)

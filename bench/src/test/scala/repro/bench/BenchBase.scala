@@ -1,10 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.config.EventEditor
-import repro.core._
-import repro.core.Schema._
-import repro.gen.{Mall, SynthIndoor}
+import repro.gen.Mall
 import repro.gen.SynthIndoor.SimConfig
 import repro.indoor.Dsm
 
@@ -23,19 +20,6 @@ trait BenchBase extends SparkSpec {
 
   def cfgFor(nDevices: Int, seed: Long = 42L): SimConfig =
     SimConfig(nDevices = nDevices, seed = seed)
-
-  /** Train the event model on `trainFraction` of a population disjoint
-    * from the eval seed (the Event Editor step). */
-  def trainModel(cfg: SimConfig, trainFraction: Double = 0.2): EventModel = {
-    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
-    val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId).distinct, trainFraction)
-    val segments = EventEditor.designateFromTruth(
-      truth.filter(s => trainDevs.contains(s.deviceId)), trainDevs)
-    val b = spark.sparkContext.broadcast(dsm)
-    val cleaned = Cleaner.clean(spark,
-      SynthIndoor.raw(spark, dsm, cfg).filter(r => trainDevs.contains(r.deviceId)), b)
-    EventModel.train(EventEditor.trainingData(spark, cleaned, segments).collect().toSeq)
-  }
 
   def timeMs[A](f: => A): (A, Long) = {
     val t0 = System.nanoTime()

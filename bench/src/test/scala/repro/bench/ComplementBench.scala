@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.functions._
+import repro.config.EventEditor
 import repro.core._
 import repro.core.Knowledge.KnowledgeModel
 import repro.eval.Metrics
@@ -16,7 +17,7 @@ class ComplementBench extends BenchBase {
     // Every device suffers a gap; longer gaps than the default config.
     val cfg = cfgFor(nDevices = (5000 * BenchSf).toInt)
       .copy(gapProb = 1.0, gapMinSec = 120, gapMaxSec = 420)
-    val model = trainModel(cfgFor(nDevices = 100, seed = 77L))
+    val (model, _) = EventEditor.trainOnSimulation(spark, dsm, cfgFor(nDevices = 100, seed = 77L), 0.2)
 
     val raw = SynthIndoor.raw(spark, dsm, cfg).cache()
     val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).cache()

@@ -1,44 +1,33 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
+import repro.config.EventEditor
 import repro.core._
 import repro.gen.SynthIndoor
 
-/** T5 — end-to-end throughput scaling: wall time of each layer and overall
-  * records/s as the device population grows (100 → 250 → 500 devices over
-  * the demo week). The pipeline is device-parallel, so time should grow
-  * roughly linearly in devices (sublinearly while cores are idle). */
+/** T5 — end-to-end throughput scaling: wall time of one
+  * `Translator.translate` and overall records/s as the device population
+  * grows (100 → 250 → 500 devices over the demo week). The pipeline is
+  * device-parallel, so time should grow roughly linearly in devices
+  * (sublinearly while cores are idle). perfbench measures the same call
+  * repeatedly and by layer. */
 class EndToEndBench extends BenchBase {
 
-  test("T5: end-to-end layer timings vs population size") {
-    import spark.implicits._
-    val model = trainModel(cfgFor(nDevices = 100, seed = 77L))
+  test("T5: end-to-end translate timings vs population size") {
+    val (model, _) = EventEditor.trainOnSimulation(spark, dsm, cfgFor(nDevices = 100, seed = 77L), 0.2)
 
     banner("T5: End-to-end scaling (translate full population)")
-    println(f"${"devices"}%8s ${"records"}%10s ${"clean ms"}%9s ${"annot ms"}%9s " +
-      f"${"compl ms"}%9s ${"total ms"}%9s ${"rec/s"}%10s ${"semantics"}%10s")
+    println(f"${"devices"}%8s ${"records"}%10s ${"total ms"}%9s ${"rec/s"}%10s ${"semantics"}%10s")
 
     val rows = Seq(100, 250, 500).map { n =>
-      val cfg = cfgFor(nDevices = n)
-      val raw = SynthIndoor.raw(spark, dsm, cfg).cache()
+      val raw = SynthIndoor.raw(spark, dsm, cfgFor(nDevices = n)).cache()
       val nRec = raw.count()
-      val b = spark.sparkContext.broadcast(dsm)
-
-      val (cleaned, tClean) = timeMs {
-        val c = Cleaner.clean(spark, raw, b).cache(); c.count(); c
+      val ((translation, nSem), total) = timeMs {
+        val r = Translator.translate(spark, raw, dsm, model)
+        (r, r.semantics.count())
       }
-      val (annotated, tAnnot) = timeMs {
-        val a = Annotator.annotate(spark, cleaned, b, model).cache(); a.count(); a
-      }
-      val (nSem, tCompl) = timeMs {
-        val km = Knowledge.build(spark, annotated)
-        val bk = spark.sparkContext.broadcast(km)
-        Complementor.complement(spark, annotated, b, bk).count()
-      }
-      val total = tClean + tAnnot + tCompl
       val rps = nRec * 1000.0 / math.max(1, total)
-      println(f"$n%8d $nRec%10d $tClean%9d $tAnnot%9d $tCompl%9d $total%9d $rps%10.0f $nSem%10d")
-      raw.unpersist(); cleaned.unpersist(); annotated.unpersist()
+      println(f"$n%8d $nRec%10d $total%9d $rps%10.0f $nSem%10d")
+      translation.unpersist(); raw.unpersist()
       (n, nRec, total, nSem)
     }
 

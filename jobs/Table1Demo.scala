@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.config.EventEditor
 import repro.core._
-import repro.core.Schema._
 import repro.gen.{Mall, SynthIndoor}
 import repro.gen.SynthIndoor.SimConfig
 import java.time.{Instant, ZoneOffset}
@@ -13,9 +12,10 @@ import java.time.format.DateTimeFormatter
   * the left, the translated mobility semantics on the right, for a shopper
   * who stays in Adidas, passes by Nike and stays at the Cashier on 3F.
   *
-  * The event model and mobility knowledge are trained on a small simulated
-  * population (the Event Editor / Annotator context); the scripted Table 1
-  * device is then translated with the full three-layer pipeline.
+  * The event model is trained on a small simulated population (the Event
+  * Editor step); the scripted Table 1 device is then translated with the
+  * full three-layer pipeline, whose mobility knowledge comes from that
+  * device alone.
   *
   * Run: `spark-submit --class repro.jobs.Table1Demo <jar>`
   */
@@ -37,17 +37,9 @@ object Table1Demo {
   def run(spark: SparkSession): String = {
     import spark.implicits._
     val dsm = Mall.dsm()
-    val cfg = SimConfig.forSf(0.01)
 
     // Event Editor: designate training segments on a small population.
-    val trainCfg = cfg.copy(seed = 7L)
-    val truth = SynthIndoor.truthSemantics(spark, dsm, trainCfg).collect().toSeq
-    val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId), 1.0)
-    val segments = EventEditor.designateFromTruth(truth, trainDevs)
-    val b = spark.sparkContext.broadcast(dsm)
-    val cleaned = Cleaner.clean(spark, SynthIndoor.raw(spark, dsm, trainCfg), b)
-    val examples = EventEditor.trainingData(spark, cleaned, segments).collect().toSeq
-    val model = EventModel.train(examples)
+    val (model, _) = EventEditor.trainOnSimulation(spark, dsm, SimConfig.forSf(0.01, seed = 7L), 1.0)
 
     // The scripted Table 1 shopper.
     val sim = SynthIndoor.table1Scenario(dsm)

@@ -53,15 +53,8 @@ object WalkthroughJob {
       s"${selected.count()} selected (operating hours, >=10 min sequences)")
 
     // Step 3: Event Editor designates training data; model is trained.
-    val trainCfg = cfg.copy(seed = cfg.seed + 99)
-    val truth = SynthIndoor.truthSemantics(spark, dsm, trainCfg).collect().toSeq
-    val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId), 0.5)
-    val segments = EventEditor.designateFromTruth(truth, trainDevs)
-    val b = spark.sparkContext.broadcast(dsm)
-    val trainCleaned = Cleaner.clean(spark, SynthIndoor.raw(spark, dsm, trainCfg), b)
-    val model = EventModel.train(
-      EventEditor.trainingData(spark, trainCleaned, segments).collect().toSeq)
-    println(s"[3/5] Event Editor: ${segments.size} designated segments, model trained")
+    val (model, trainDevs) = EventEditor.trainOnSimulation(spark, dsm, cfg.copy(seed = cfg.seed + 99), 0.5)
+    println(s"[3/5] Event Editor: segments designated on ${trainDevs.size} devices, model trained")
 
     // Step 4: Translator.
     val result = Translator.translate(spark, selected, dsm, model)

@@ -1,9 +1,10 @@
 package repro.config
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.core.Features
+import repro.core.{Cleaner, EventModel, Features}
 import repro.core.Schema._
+import repro.gen.SynthIndoor
+import repro.gen.SynthIndoor.SimConfig
 import repro.indoor.Dsm
 
 /** Event Editor (Configurator component 3).
@@ -54,15 +55,16 @@ object EventEditor {
 
   /** Auto-designate training segments from ground truth — the programmatic
     * stand-in for the analyst clicking segments on the map view. Takes the
-    * ground-truth semantics of the `trainFraction` first devices (by id
-    * hash) and returns their runs as labeled segments, longest first,
-    * capped at `maxPerLabel` per pattern so classes stay balanced.
+    * ground-truth semantics of `trainDevices` and returns their runs as
+    * labeled segments, longest first, capped at `maxPerLabel` per pattern
+    * so classes stay balanced. Equal durations are ordered by device and
+    * start time, so the segments do not depend on the order of `truth`.
     */
   def designateFromTruth(truth: Seq[Semantic], trainDevices: Set[String],
                          maxPerLabel: Int = 400): Seq[LabeledSegment] = {
     val usable = truth.filter(s => trainDevices.contains(s.deviceId) && s.duration >= 10)
     usable.groupBy(_.event).toSeq.flatMap { case (label, ss) =>
-      ss.sortBy(-_.duration).take(maxPerLabel)
+      ss.sortBy(s => (-s.duration, s.deviceId, s.tStart)).take(maxPerLabel)
         .map(s => LabeledSegment(s.deviceId, s.tStart, s.tEnd, label))
     }
   }
@@ -72,5 +74,24 @@ object EventEditor {
   def trainSplit(deviceIds: Seq[String], fraction: Double): Set[String] = {
     val sorted = deviceIds.distinct.sorted
     sorted.take(math.max(1, (sorted.size * fraction).toInt)).toSet
+  }
+
+  /** The Event Editor step on a simulated population: designate segments
+    * from the ground truth of a `trainFraction` of `cfg`'s devices, cut
+    * them out of those devices' cleaned records and train the event
+    * model. Each training device is simulated once, for both its truth
+    * and its raw records; the other devices are not simulated. Returns the
+    * model and the training devices.
+    */
+  def trainOnSimulation(spark: SparkSession, dsm: Dsm, cfg: SimConfig,
+                        trainFraction: Double): (EventModel, Set[String]) = {
+    import spark.implicits._
+    val trainDevs = trainSplit((0 until cfg.nDevices).map(SynthIndoor.deviceId), trainFraction)
+    val devices = SynthIndoor.perDevice(spark, dsm, cfg, i => trainDevs(SynthIndoor.deviceId(i))) { s =>
+      Iterator.single((SynthIndoor.encodeTruth(s.deviceId, s.gt), Cleaner.cleanDevice(dsm, s.raw)))
+    }.collect()
+    val segments = designateFromTruth(devices.flatMap(_._1).toSeq, trainDevs)
+    val examples = trainingData(spark, devices.flatMap(_._2).toSeq.toDS(), segments)
+    (EventModel.train(examples.collect().toSeq), trainDevs)
   }
 }

@@ -27,9 +27,14 @@ object Annotator {
                           minDur: Long = Splitter.DefaultMinDur,
                           sessionGap: Long = Splitter.DefaultSessionGap)
 
-  /** Annotate one device's cleaned, time-sorted records. */
+  /** Annotate one device's cleaned, time-sorted records. A device with no
+    * on-map record (the Cleaner keeps such a device's records as they are:
+    * an unmodelled floor, a non-finite coordinate) matches no region and
+    * yields no semantics; it is not split, because a non-finite coordinate
+    * bounds no snippet. */
   def annotateDevice(dsm: Dsm, model: EventModel, records: Seq[CleanRecord],
                      cfg: Config = Config()): Vector[Semantic] = {
+    if (!records.exists(r => dsm.regionAtSnapped(r.point).isDefined)) return Vector.empty
     val snippets = Splitter.split(dsm, records, cfg.eps, cfg.minDur, cfg.sessionGap)
     // Adjacent semantics with identical (event, region) within a session
     // gap merge into `open`, which is emitted when the next one differs.

@@ -19,8 +19,7 @@ import scala.collection.mutable
   *
   * MAP search: maximize ∏ P(r_{k+1} | r_k) over paths from the gap's left
   * region to its right region ⇔ minimize ∑ -log P — a shortest path with
-  * positive weights, found with Dijkstra over the adjacency graph (depth
-  * capped).
+  * positive weights, found with Dijkstra over the adjacency graph.
   *
   * Time allocation reflects what a hole physically contains: mostly the
   * bracketing behaviors themselves. Each intermediate region gets its
@@ -36,26 +35,23 @@ object Complementor {
     * discontinuity worth complementing (s). */
   val DefaultGapThreshold = 60L
 
-  /** Maximum inferred path length (#intermediate regions). */
-  val MaxHops = 16
-
   /** Assumed walking pace for transit-time estimates (m/s). */
   val WalkPace = 1.2
 
   /** Infer the MAP region path from → to (exclusive of endpoints).
-    * Returns None when no path exists within `MaxHops`; Some(Nil) when the
-    * regions are identical or adjacent (nothing between them).
+    * Returns None when the regions are not connected; Some(Nil) when they
+    * are identical or adjacent (nothing between them).
     */
   def mapPath(dsm: Dsm, km: KnowledgeModel, from: String, to: String): Option[List[String]] = {
     if (from == to) return Some(Nil)
     // Dijkstra over -log P(next | cur) restricted to region adjacency.
-    final case class Node(cost: Double, region: String, hops: Int)
+    final case class Node(cost: Double, region: String)
     implicit val ord: Ordering[Node] = Ordering.by((n: Node) => -n.cost)
-    val pq = mutable.PriorityQueue(Node(0.0, from, 0))
+    val pq = mutable.PriorityQueue(Node(0.0, from))
     val best = mutable.Map(from -> 0.0)
     val parent = mutable.Map.empty[String, String]
     while (pq.nonEmpty) {
-      val Node(cost, cur, hops) = pq.dequeue()
+      val Node(cost, cur) = pq.dequeue()
       if (cur == to) {
         // Reconstruct, drop endpoints.
         var path = List.empty[String]
@@ -63,7 +59,7 @@ object Complementor {
         while (c != from) { path = c :: path; c = parent(c) }
         return Some(path.dropRight(1))
       }
-      if (cost <= best.getOrElse(cur, Double.MaxValue) && hops < MaxHops) {
+      if (cost <= best.getOrElse(cur, Double.MaxValue)) {
         val nexts = dsm.adjacentRegions(cur)
         val mass = km.mass(cur, nexts)
         nexts.foreach { nxt =>
@@ -71,7 +67,7 @@ object Complementor {
           val nc = cost - math.log(math.max(p, 1e-12))
           if (nc < best.getOrElse(nxt, Double.MaxValue)) {
             best(nxt) = nc; parent(nxt) = cur
-            pq.enqueue(Node(nc, nxt, hops + 1))
+            pq.enqueue(Node(nc, nxt))
           }
         }
       }

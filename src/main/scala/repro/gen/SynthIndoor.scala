@@ -1,6 +1,6 @@
 package repro.gen
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import repro.core.Schema._
 import repro.indoor.Dsm
 import repro.indoor.Geometry._
@@ -195,40 +195,46 @@ object SynthIndoor {
 
   // ------------------------------------------------------------ Spark facade
 
+  /** `f` of each simulated device whose index `keep` accepts, device-parallel.
+    * The one place the facade runs [[simulate]]: each projection below
+    * simulates every device once. A population is re-simulated for each
+    * Dataset built from it, because that is cheaper than holding its 1 Hz
+    * truth in memory (500 devices simulate in ~0.6 s on one thread and
+    * carry ~1M truth rows). */
+  def perDevice[U: Encoder](spark: SparkSession, dsm: Dsm, cfg: SimConfig,
+                            keep: Int => Boolean = _ => true)
+                           (f: DeviceSim => IterableOnce[U]): Dataset[U] = {
+    val b = spark.sparkContext.broadcast(dsm)
+    spark.range(cfg.nDevices).as[Long](Encoders.scalaLong)
+      .filter(i => keep(i.toInt))
+      .flatMap(i => f(simulate(b.value, cfg, i.toInt)))
+  }
+
   /** Raw positioning records for all devices (the pipeline's input). */
   def raw(spark: SparkSession, dsm: Dsm, cfg: SimConfig): Dataset[PosRecord] = {
     import spark.implicits._
-    val b = spark.sparkContext.broadcast(dsm)
-    spark.range(cfg.nDevices).as[Long]
-      .flatMap(i => simulate(b.value, cfg, i.toInt).raw)
+    perDevice(spark, dsm, cfg)(_.raw)
   }
 
   /** 1 Hz ground-truth trace (evaluation only). */
   def groundTruth(spark: SparkSession, dsm: Dsm, cfg: SimConfig): Dataset[GtRecord] = {
     import spark.implicits._
-    val b = spark.sparkContext.broadcast(dsm)
-    spark.range(cfg.nDevices).as[Long]
-      .flatMap(i => simulate(b.value, cfg, i.toInt).gt)
+    perDevice(spark, dsm, cfg)(_.gt)
   }
 
   /** Injected detection-gap windows per device (evaluation of T4). */
   def gaps(spark: SparkSession, dsm: Dsm, cfg: SimConfig): Dataset[(String, Long, Long)] = {
     import spark.implicits._
-    val b = spark.sparkContext.broadcast(dsm)
-    spark.range(cfg.nDevices).as[Long]
-      .flatMap(i => simulate(b.value, cfg, i.toInt).gaps.map(g => (deviceId(i.toInt), g._1, g._2)))
+    perDevice(spark, dsm, cfg)(s => s.gaps.map { case (g0, g1) => (s.deviceId, g0, g1) })
   }
 
   /** Ground-truth mobility semantics: run-length encoding of the 1 Hz
-    * (event, region) trace — what a perfect translator would output. */
+    * (event, region) trace — what a perfect translator would output.
+    * [[simulate]] emits each device's truth in time order, so no sort or
+    * shuffle is needed. */
   def truthSemantics(spark: SparkSession, dsm: Dsm, cfg: SimConfig): Dataset[Semantic] = {
     import spark.implicits._
-    groundTruth(spark, dsm, cfg)
-      .groupByKey(_.deviceId)
-      .flatMapGroups { (dev, it) =>
-        val sorted = it.toVector.sortBy(_.ts)
-        encodeTruth(dev, sorted)
-      }
+    perDevice(spark, dsm, cfg)(s => encodeTruth(s.deviceId, s.gt))
   }
 
   /** RLE of a sorted ground-truth trace into semantics triplets. */

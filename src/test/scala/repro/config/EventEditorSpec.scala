@@ -1,7 +1,10 @@
 package repro.config
 
 import repro.SparkSpec
+import repro.core.{Cleaner, EventModel}
 import repro.core.Schema._
+import repro.gen.{Mall, SynthIndoor}
+import repro.gen.SynthIndoor.SimConfig
 
 class EventEditorSpec extends SparkSpec {
 
@@ -57,6 +60,36 @@ class EventEditorSpec extends SparkSpec {
       Semantic("a", 1, Stay, "T", "r", 10, 100, "truth"))
     val segs = EventEditor.designateFromTruth(truth, Set("a"))
     assert(segs.size == 1 && segs.head.tStart == 10)
+  }
+
+  test("designateFromTruth picks the same segments from permuted input") {
+    // Ten runs per label share each duration, so the cap falls among ties.
+    val truth = (0 until 60).map { i =>
+      Semantic(s"d${i % 7}", i, if (i % 2 == 0) Stay else PassBy, "T", "r",
+               i * 100L, i * 100L + 10 + (i / 20) * 10, "truth")
+    }
+    val devs = truth.map(_.deviceId).toSet
+    val segs = EventEditor.designateFromTruth(truth, devs, maxPerLabel = 15)
+    assert(segs.count(_.label == Stay) == 15)
+    val rng = new scala.util.Random(5)
+    (1 to 5).foreach { _ =>
+      assert(EventEditor.designateFromTruth(rng.shuffle(truth), devs, maxPerLabel = 15) == segs)
+    }
+  }
+
+  test("trainOnSimulation trains the model of the collected recipe, on the trainSplit devices") {
+    import spark.implicits._
+    val dsm = Mall.dsm()
+    val cfg = SimConfig(nDevices = 8, seed = 5L)
+    val (model, devs) = EventEditor.trainOnSimulation(spark, dsm, cfg, 0.5)
+    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
+    assert(devs == EventEditor.trainSplit(truth.map(_.deviceId), 0.5))
+    val cleaned = SynthIndoor.raw(spark, dsm, cfg).collect().toSeq.groupBy(_.deviceId).values
+      .flatMap(Cleaner.cleanDevice(dsm, _)).toSeq
+    val ref = EventModel.train(EventEditor.trainingData(spark, cleaned.toDS(),
+      EventEditor.designateFromTruth(truth, devs)).collect().toSeq).model
+    assert(model.model.w.toSeq == ref.w.toSeq && model.model.b == ref.b)
+    assert(model.model.std.mean.toSeq == ref.std.mean.toSeq && model.model.std.std.toSeq == ref.std.std.toSeq)
   }
 
   test("trainSplit is deterministic and sized by fraction") {

@@ -1,8 +1,11 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.config.EventEditor
 import repro.core.Knowledge.KnowledgeModel
 import repro.core.Schema._
+import repro.gen.{Mall, SynthIndoor}
+import repro.gen.SynthIndoor.SimConfig
 import repro.indoor.Geometry._
 import repro.indoor.{Dsm, Door, Region}
 
@@ -54,6 +57,51 @@ class ComplementorSpec extends SparkSpec {
   test("mapPath to a disconnected region is None") {
     val dsm2 = new Dsm(dsm.regions :+ Region("Z", 0, Rect(50, 0, 60, 10), "Z", "room"), dsm.doors)
     assert(Complementor.mapPath(dsm2, flat, "A", "Z").isEmpty)
+  }
+
+  test("mapPath bridges a chain longer than 16 hops") {
+    val n = 20
+    val chain = new Dsm(
+      (0 until n).map(i => Region(s"R$i", 0, Rect(i * 10.0, 0, i * 10.0 + 10, 10), s"R$i", "room")),
+      (1 until n).map(i => Door(s"d$i", s"R${i - 1}", s"R$i", i * 10.0, 5)))
+    assert(Complementor.mapPath(chain, flat, "R0", s"R${n - 1}").contains((1 until n - 1).map(i => s"R$i").toList))
+  }
+
+  /** The cost of the T4 workload's MAP path: the Mall, all 500 devices
+    * gapped, the event model trained on a disjoint 100-device population. */
+  test("mapPath's cost on the Mall equals a Bellman-Ford reference under the T4 knowledge") {
+    val mall = Mall.dsm()
+    val (model, _) = EventEditor.trainOnSimulation(spark, mall, SimConfig(nDevices = 100, seed = 77L), 0.2)
+    val t4 = SimConfig(nDevices = 500, gapProb = 1.0, gapMinSec = 120, gapMaxSec = 420)
+    val result = Translator.translate(spark, SynthIndoor.raw(spark, mall, t4), mall, model)
+    val km = result.knowledge
+    result.unpersist()
+    val ids = mall.regions.map(_.id)
+    def weight(from: String, to: String): Double =
+      -math.log(math.max(km.prob(from, to, km.mass(from, mall.adjacentRegions(from))), 1e-12))
+    val edges = ids.flatMap(u => mall.adjacentRegions(u).toSeq.map(v => (u, v, weight(u, v))))
+    def bellmanFord(src: String): Map[String, Double] = {
+      val dist = scala.collection.mutable.Map(ids.map(_ -> Double.PositiveInfinity): _*)
+      dist(src) = 0.0
+      for (_ <- 1 until ids.size; (u, v, w) <- edges) if (dist(u) + w < dist(v)) dist(v) = dist(u) + w
+      dist.toMap
+    }
+    def cost(path: Seq[String]): Double =
+      path.zip(path.tail).map { case (u, v) => weight(u, v) }.sum
+    val rng = new scala.util.Random(4)
+    val pairs = Seq.fill(200)((ids(rng.nextInt(ids.size)), ids(rng.nextInt(ids.size)))).filter { case (a, b) => a != b }
+    assert(km.transitions.nonEmpty)
+    pairs.groupBy(_._1).foreach { case (from, ps) =>
+      val ref = bellmanFord(from)
+      ps.foreach { case (_, to) =>
+        val mids = Complementor.mapPath(mall, km, from, to)
+        assert(mids.isDefined == ref(to).isFinite, s"$from -> $to")
+        mids.foreach { m =>
+          val c = cost(from +: m :+ to)
+          assert(math.abs(c - ref(to)) <= 1e-9 * math.max(1.0, ref(to)), s"$from -> $to: $c vs ${ref(to)}")
+        }
+      }
+    }
   }
 
   private def sem(seq: Int, region: String, t0: Long, t1: Long) =

@@ -77,15 +77,11 @@ class KnowledgeSpec extends SparkSpec {
   /** Semantics annotated from a small simulated population, with a model
     * trained on that population's truth. */
   private lazy val annotatedSynth: Seq[Semantic] = {
-    import spark.implicits._
     val dsm = Mall.dsm()
     val cfg = SimConfig(nDevices = 6, seed = 3L)
-    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
-    val segments = EventEditor.designateFromTruth(truth, truth.map(_.deviceId).toSet)
-    val cleaned = (0 until cfg.nDevices).map(i => Cleaner.cleanDevice(dsm, SynthIndoor.simulate(dsm, cfg, i).raw))
-    val model = EventModel.train(
-      EventEditor.trainingData(spark, cleaned.flatten.toDS(), segments).collect().toSeq)
-    cleaned.flatMap(c => Annotator.annotateDevice(dsm, model, c))
+    val (model, _) = EventEditor.trainOnSimulation(spark, dsm, cfg, 1.0)
+    SynthIndoor.raw(spark, dsm, cfg).collect().toSeq.groupBy(_.deviceId).values.toSeq
+      .flatMap(rs => Annotator.annotateDevice(dsm, model, Cleaner.cleanDevice(dsm, rs)))
   }
 
   test("merged summaries equal transitionCounts and regionStats exactly") {

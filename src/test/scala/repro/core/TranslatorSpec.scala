@@ -20,22 +20,16 @@ class TranslatorSpec extends SparkSpec {
   private lazy val dsm = Mall.dsm()
   private lazy val cfg = SimConfig(nDevices = 12, seed = 21L)
 
-  private lazy val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
-  private lazy val trainDevs = EventEditor.trainSplit(truth.map(_.deviceId).distinct, 0.5)
+  private lazy val (model, trainDevs) = EventEditor.trainOnSimulation(spark, dsm, cfg, 0.5)
   private lazy val evalRaw = {
     val devs = trainDevs
     SynthIndoor.raw(spark, dsm, cfg).filter(r => !devs.contains(r.deviceId))
   }
 
   private lazy val fixture: (Translator.Result, Seq[Semantic], EventModel) = {
-    val segments = EventEditor.designateFromTruth(truth, trainDevs)
-    val b = spark.sparkContext.broadcast(dsm)
-    val cleanedAll = Cleaner.clean(spark, SynthIndoor.raw(spark, dsm, cfg), b)
-    val model = EventModel.train(
-      EventEditor.trainingData(spark, cleanedAll, segments).collect().toSeq)
-
     val result = Translator.translate(spark, evalRaw, dsm, model)
-    val evalTruth = truth.filterNot(s => trainDevs.contains(s.deviceId))
+    val evalTruth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
+      .filterNot(s => trainDevs.contains(s.deviceId))
     (result, evalTruth, model)
   }
 
@@ -53,7 +47,7 @@ class TranslatorSpec extends SparkSpec {
       val sorted = ss.sortBy(_.seqNo)
       assert(sorted.map(_.seqNo).toSeq == sorted.indices)
       sorted.sliding(2).foreach {
-        case Array(a, b) => assert(a.tEnd <= b.tStart || a.tStart <= b.tStart)
+        case Array(a, b) => assert(a.tEnd < b.tStart, s"$a overlaps $b")
         case _           => ()
       }
     }
@@ -98,9 +92,8 @@ class TranslatorSpec extends SparkSpec {
       val inferred = ss.filter(_.source == "inferred")
       val ann = annotated(dev).sortBy(_.tStart)
       inferred.foreach { inf =>
-        // Every inferred semantics sits strictly between two annotated ones.
-        assert(ann.exists(_.tEnd < inf.tStart) || ann.exists(_.tStart > inf.tEnd))
-        assert(!ann.exists(a => a.tStart <= inf.tStart && a.tEnd >= inf.tEnd))
+        // Every inferred semantics sits strictly between two consecutive annotated ones.
+        assert(ann.zip(ann.drop(1)).exists { case (a, b) => a.tEnd < inf.tStart && inf.tEnd < b.tStart }, s"$inf")
       }
     }
   }
@@ -186,5 +179,48 @@ class TranslatorSpec extends SparkSpec {
     assert(!sems.exists(_.deviceId == "off-map"))
     assert(ordered(sems) == ordered(base.semantics.collect().toSeq))
     Seq(base, mixed).foreach(_.unpersist())
+  }
+
+  test("a device with a non-finite coordinate on every record gets no semantics and keeps its records") {
+    import spark.implicits._
+    val raw = evalRaw.collect().toSeq
+    val offMap = (0 until 5).map(i => PosRecord("nan", WeekStart + i * 5L, Double.NaN, 20.0, 2))
+    val base = Translator.translate(spark, raw.toDS(), dsm, model)
+    val mixed = Translator.translate(spark, (raw ++ offMap).toDS(), dsm, model)
+    val sems = mixed.semantics.collect().toSeq
+    assert(!sems.exists(_.deviceId == "nan"))
+    assert(ordered(sems) == ordered(base.semantics.collect().toSeq))
+    assert(mixed.cleaned.filter(_.deviceId == "nan").count() == 5)
+    Seq(base, mixed).foreach(_.unpersist())
+  }
+
+  test("a hostile feed leaves the well-formed devices' translation unchanged") {
+    import spark.implicits._
+    val raw = evalRaw.collect().toSeq
+    val dev = raw.head.deviceId
+    def offMap(id: String, f: PosRecord => PosRecord) =
+      raw.filter(_.deviceId == dev).map(r => f(r.copy(deviceId = id)))
+    val hostile =
+      offMap("nan-x", _.copy(x = Double.NaN)) ++
+      offMap("inf-y", r => r.copy(y = if (r.ts % 2 == 0) Double.PositiveInfinity else Double.NegativeInfinity)) ++
+      offMap("floor-minus-1", _.copy(floor = -1)) ++
+      offMap("one-off-map", _.copy(floor = Mall.Floors)).take(1) ++
+      raw.filter(_.deviceId == dev).take(20) // exact duplicates of well-formed records
+    val alone = Translator.translate(spark, raw.toDS(), dsm, model)
+    val mixed = Translator.translate(spark, (raw ++ hostile).toDS(), dsm, model)
+    val hostileIds = hostile.map(_.deviceId).toSet - dev
+    assert(mixed.knowledge == alone.knowledge)
+    assert(ordered(mixed.semantics.collect().toSeq) == ordered(alone.semantics.collect().toSeq))
+    assert(mixed.cleaned.count() == (raw ++ hostile).map(r => (r.deviceId, r.ts)).distinct.size)
+    assert(mixed.cleaned.filter(r => hostileIds.contains(r.deviceId)).count() ==
+           hostile.filter(r => hostileIds.contains(r.deviceId)).size)
+    Seq(alone, mixed).foreach(_.unpersist())
+  }
+
+  test("translate of empty input is empty") {
+    import spark.implicits._
+    val r = Translator.translate(spark, Seq.empty[PosRecord].toDS(), dsm, model)
+    assert(r.semantics.collect().isEmpty && r.cleaned.collect().isEmpty)
+    r.unpersist()
   }
 }
