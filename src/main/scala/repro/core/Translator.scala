@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.Knowledge.Summary
 import repro.core.Schema._
@@ -13,10 +14,11 @@ import repro.indoor.Dsm
   * through Cleaning → Annotation → Complementing "without manual
   * interventions". Each layer is a per-device function; only the knowledge
   * prior needs to see every device. So a translation is one shuffle on
-  * the `deviceId` column, after which each device's rows are one
-  * consecutive run that is cleaned and annotated; the knowledge is merged
-  * from per-device summaries, and the complement runs on the partitions
-  * that shuffle produced, one per core. The layers' own Spark entry
+  * the `deviceId` column into one partition per core; each partition
+  * groups its rows by device, cleans and annotates each device, and keeps
+  * the result as one compact [[SemanticsBlock]]. The knowledge is merged
+  * from the blocks' per-device summaries, and the complement runs over the
+  * same blocks, with no further shuffle. The layers' own Spark entry
   * points (`Cleaner.clean`, `Annotator.annotate`, ...) stay available for
   * the Viewer to trace intermediate data.
   */
@@ -29,51 +31,63 @@ object Translator {
 
   /** All intermediate artifacts of a translation task — what the Viewer
     * lets the analyst trace (raw/cleaned sequences, original and
-    * complemented semantics). `annotated` is cached; `cleaned` and
-    * `semantics` are recomputed on each action (the cleaned records are
-    * the same ones the semantics came from: cleaning is deterministic). */
+    * complemented semantics). The annotated semantics are cached as
+    * compact blocks, one per partition; `annotated` decodes them on each
+    * action, and `semantics` complements them. `cleaned` is recomputed on
+    * each action (the cleaned records are the same ones the semantics came
+    * from: cleaning is deterministic). */
   final case class Result(cleaned: Dataset[CleanRecord],
                           annotated: Dataset[Semantic],
                           knowledge: Knowledge.KnowledgeModel,
-                          semantics: Dataset[Semantic])(broadcasts: Seq[Broadcast[_]]) {
+                          semantics: Dataset[Semantic])(blocks: RDD[_], broadcasts: Seq[Broadcast[_]]) {
 
-    /** Release the cache and the DSM and knowledge broadcasts the
+    /** Release the cached blocks and the DSM and knowledge broadcasts the
       * translation created. The Result's Datasets are unusable afterwards. */
     def unpersist(): Unit = {
-      annotated.unpersist(blocking = true)
+      blocks.unpersist(blocking = true)
       broadcasts.foreach(_.destroy())
     }
   }
 
   /** Translate the selected raw positioning sequences into mobility
-    * semantics sequences. One pass shuffles on the `deviceId` column,
-    * cleans and annotates each device's consecutive run of rows, caches the
-    * annotated semantics and returns one knowledge [[Knowledge.Summary]]
-    * per partition; no further shuffle follows, because every device's
-    * semantics sit in the partition its run went through.
-    *
-    * The pass is coalesced to at most one partition per core before the
-    * cache. Adaptive execution would merge the small shuffle partitions
-    * itself, but it may not change the partitioning of a plan that is
-    * cached, so without the coalesce the pass and both passes over the
-    * cache (knowledge and complement) each run one tiny task per shuffle
-    * partition.
+    * semantics sequences. The pass shuffles on the `deviceId` column into
+    * one partition per core, cleans and annotates each device and caches
+    * one [[SemanticsBlock]] per partition, named "translate: annotated
+    * blocks" in Spark's storage status. The `collect` of the blocks'
+    * knowledge summaries is the job that fills that cache; it and the
+    * shuffle run under the job description "translate: pass + knowledge",
+    * and the caller's description is restored afterwards (the job group is
+    * left as it is). The complement is a `flatMap` over the cached blocks:
+    * every device's semantics sit in the block of the partition it went
+    * through.
     */
   def translate(spark: SparkSession, raw: Dataset[PosRecord], dsm: Dsm,
                 model: EventModel, cfg: Config = Config()): Result = {
     import spark.implicits._
-    val b = spark.sparkContext.broadcast(dsm)
-    val annotated = PerDevice.flatMap(raw)(_.deviceId) { rs =>
-      Annotator.annotateDevice(b.value, model, Cleaner.cleanDevice(b.value, rs, cfg.maxSpeed), cfg.annotator)
-    }.coalesce(spark.sparkContext.defaultParallelism).cache()
-    val km = Summary.mergeAll(annotated.mapPartitions { it =>
-      Iterator(Summary.mergeAll(PerDevice.runs(it)(_.deviceId).map(Summary.ofDevice)))
-    }(Summary.encoder).collect()).toModel(cfg.knowledgeAlpha)
-    val bk = spark.sparkContext.broadcast(km)
-    val semantics = annotated.mapPartitions { it =>
-      PerDevice.runs(it)(_.deviceId)
-        .flatMap(ss => Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold))
-    }
-    Result(Cleaner.clean(spark, raw, b, cfg.maxSpeed), annotated, km, semantics)(Seq(b, bk))
+    val sc = spark.sparkContext
+    val b = sc.broadcast(dsm)
+    val caller = sc.getLocalProperty(JobDescription)
+    sc.setJobDescription("translate: pass + knowledge")
+    val (blocks, km) = try {
+      val blocks = PerDevice.shuffle(raw).rdd.mapPartitions { it =>
+        val d = b.value
+        Iterator(SemanticsBlock.encode(d, PerDevice.groups(it)(_.deviceId).map { case (id, rs) =>
+          id -> Annotator.annotateDevice(d, model, Cleaner.cleanDevice(d, rs, cfg.maxSpeed), cfg.annotator)
+        }))
+      }.setName("translate: annotated blocks").cache()
+      val km = Summary.mergeAll(blocks.map { block =>
+        Summary.mergeAll(block.devices(b.value).map { case (_, ss) => Summary.ofDevice(ss) })
+      }.collect()).toModel(cfg.knowledgeAlpha)
+      (blocks, km)
+    } finally sc.setLocalProperty(JobDescription, caller)
+    val bk = sc.broadcast(km)
+    val annotated = blocks.flatMap(_.devices(b.value).flatMap(_._2))
+    val semantics = blocks.flatMap(_.devices(b.value).flatMap { case (_, ss) =>
+      Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold)
+    })
+    Result(Cleaner.clean(spark, raw, b, cfg.maxSpeed), annotated.toDS(), km, semantics.toDS())(blocks, Seq(b, bk))
   }
+
+  /** The local property `SparkContext.setJobDescription` sets. */
+  private val JobDescription = "spark.job.description"
 }

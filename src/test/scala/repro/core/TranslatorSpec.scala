@@ -2,9 +2,10 @@ package repro.core
 
 import org.apache.spark.ShuffleDependency
 import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.config.EventEditor
-import repro.core.Knowledge.{KnowledgeModel, Summary}
+import repro.core.Composed.ordered
 import repro.core.Schema._
 import repro.eval.Metrics
 import repro.gen.{Mall, SynthIndoor}
@@ -113,31 +114,33 @@ class TranslatorSpec extends SparkSpec {
     assert(order == Seq("Adidas", "Nike", "Cashier"))
   }
 
-  /** The translation composed from the per-device functions without Spark:
-    * the knowledge and the complemented semantics. */
-  private def composed(raw: Seq[PosRecord], model: EventModel): (KnowledgeModel, Seq[Semantic]) = {
-    val tc = Translator.Config()
-    val annotated = raw.groupBy(_.deviceId).values.toSeq.map { rs =>
-      Annotator.annotateDevice(dsm, model, Cleaner.cleanDevice(dsm, rs, tc.maxSpeed), tc.annotator)
-    }
-    val km = Summary.mergeAll(annotated.map(Summary.ofDevice)).toModel(tc.knowledgeAlpha)
-    (km, annotated.flatMap(Complementor.complementDevice(dsm, km, _, tc.gapThreshold)))
-  }
-
-  private def ordered(ss: Seq[Semantic]): Seq[Semantic] = ss.sortBy(s => (s.deviceId, s.seqNo))
-
   test("translate equals the per-device functions composed without Spark, at any partition count") {
     val (_, _, model) = fixture
-    val (km, expected) = composed(evalRaw.collect().toSeq, model)
-    val key = "spark.sql.shuffle.partitions"
-    val saved = spark.conf.get(key)
-    try Seq("1", "7").foreach { n =>
-      spark.conf.set(key, n)
-      val r = Translator.translate(spark, evalRaw, dsm, model)
-      assert(r.knowledge == km, s"knowledge at $n partitions")
-      assert(ordered(r.semantics.collect().toSeq) == ordered(expected), s"semantics at $n partitions")
+    val (km, expected) = Composed(dsm, evalRaw.collect().toSeq, model)
+    Seq(1, 7).foreach { n =>
+      // The input partitioning: round-robin, so a device's rows sit in several partitions.
+      val input = evalRaw.repartition(n)
+      if (n > 1) assert(input.rdd.mapPartitions(_.map(_.deviceId).toSet.iterator).countByValue().values.exists(_ > 1))
+      val r = Translator.translate(spark, input, dsm, model)
+      assert(r.knowledge == km, s"knowledge at $n input partitions")
+      assert(ordered(r.semantics.collect().toSeq) == ordered(expected), s"semantics at $n input partitions")
       r.unpersist()
-    } finally spark.conf.set(key, saved)
+    }
+  }
+
+  test("PerDevice groups each device's rows once, in sorted id order, at any partition count") {
+    val raw = evalRaw.collect().toSeq.groupBy(_.deviceId)
+    Seq(1, 7).foreach { n =>
+      val parts = PerDevice.shuffle(evalRaw, n).rdd
+        .mapPartitions(it => Iterator(PerDevice.groups(it)(_.deviceId).toVector)).collect()
+      assert(parts.length == n)
+      parts.foreach(p => assert(p.map(_._1) == p.map(_._1).sorted, s"device order at $n partitions"))
+      val grouped = parts.toSeq.flatten
+      assert(grouped.map(_._1).sorted == raw.keys.toSeq.sorted, s"each device once at $n partitions")
+      grouped.foreach { case (id, rs) =>
+        assert(rs.sortBy(_.toString) == raw(id).sortBy(_.toString), s"rows of $id at $n partitions")
+      }
+    }
   }
 
   test("translate shuffles once") {
@@ -165,6 +168,47 @@ class TranslatorSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.size > before)
     r.unpersist()
     assert(sc.getPersistentRDDs.size == before)
+  }
+
+  test("the cached blocks carry their name in Spark's storage status") {
+    val (_, _, model) = fixture
+    val sc = spark.sparkContext
+    def named = sc.getRDDStorageInfo.count(_.name == "translate: annotated blocks")
+    val before = named
+    val r = Translator.translate(spark, evalRaw, dsm, model)
+    r.semantics.count()
+    assert(named == before + 1)
+    r.unpersist()
+    assert(named == before)
+  }
+
+  test("the pass runs under its own job description, and the caller's description and group are restored") {
+    val (_, _, model) = fixture
+    val sc = spark.sparkContext
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[(String, String)]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        seen.add((e.properties.getProperty("spark.job.description"), e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    sc.setJobGroup("caller-group", "caller's job")
+    try {
+      val r = Translator.translate(spark, evalRaw, dsm, model)
+      assert(sc.getLocalProperty("spark.job.description") == "caller's job")
+      assert(sc.getLocalProperty("spark.jobGroup.id") == "caller-group")
+      r.semantics.count()
+      r.unpersist()
+      val deadline = System.nanoTime() + 10000000000L
+      def jobs = seen.toArray(Array.empty[(String, String)]).toSeq
+      def pass = jobs.collect { case (d, g) if d == "translate: pass + knowledge" => g }
+      // The listener bus is asynchronous: wait for the count's job, which starts last.
+      while (!jobs.exists(_._1 == "caller's job") && System.nanoTime() < deadline) Thread.sleep(20)
+      assert(pass.nonEmpty && pass.forall(_ == "caller-group"), jobs)
+      assert(jobs.exists(_._1 == "caller's job"), jobs)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
   }
 
   test("a device on an unmodelled floor gets no semantics and leaves the others unchanged") {
