@@ -41,6 +41,14 @@ class AnnotationBench extends BenchBase {
       println(f"${s"$e P/R/F1"}%-28s ${f"$pt%.2f/$rt%.2f/$ft%.2f"}%16s ${f"$pb%.2f/$rb%.2f/$fb%.2f"}%16s")
     }
 
+    def scores(a: Metrics.Agreement, prf: Map[String, (Double, Double, Double)]) = Map(
+      "truth_s" -> a.truthSeconds, "covered_s" -> a.coveredSeconds, "event_ok_s" -> a.eventCorrect,
+      "region_ok_s" -> a.regionCorrect, "both_ok_s" -> a.bothCorrect,
+      "coverage" -> a.coverage, "event_acc" -> a.eventAccuracy, "region_acc" -> a.regionAccuracy,
+      "both_acc" -> a.bothAccuracy,
+      "prf" -> prf.map { case (e, (p, r, f)) => e -> Seq(p, r, f) })
+    QualityLog.record("T3", "trips" -> scores(aT, prfT), "stop_move" -> scores(aB, prfB))
+
     // Shape: TRIPS wins on region accuracy (topology-aware matching) and
     // combined accuracy; the learned model beats velocity thresholding on
     // the event F1 of at least the stay class.

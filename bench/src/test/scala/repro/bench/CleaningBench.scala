@@ -49,6 +49,15 @@ class CleaningBench extends BenchBase {
     println(s"cleaning wall time: $cleanMs ms for $nRaw records " +
       f"(${nRaw * 1000.0 / math.max(1, cleanMs)}%.0f rec/s)")
 
+    QualityLog.record("T2",
+      "records" -> nRaw, "cleaned_records" -> cleaned.count(),
+      "raw_pos_error" -> Map("n" -> rawErr.n, "mean_m" -> rawErr.meanErr, "p95_m" -> rawErr.p95Err,
+                             "wrong_floor" -> rawErr.wrongFloor),
+      "cleaned_pos_error" -> Map("n" -> cleanErr.n, "mean_m" -> cleanErr.meanErr,
+                                 "p95_m" -> cleanErr.p95Err, "wrong_floor" -> cleanErr.wrongFloor),
+      "raw_speed_violations" -> vRaw, "cleaned_speed_violations" -> vClean,
+      "repairs" -> repairs)
+
     // Shape assertions: cleaning must reduce every error class.
     assert(cleaned.count() == nRaw)
     assert(cleanErr.meanErr < rawErr.meanErr)

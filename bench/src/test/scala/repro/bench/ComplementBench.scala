@@ -46,6 +46,13 @@ class ComplementBench extends BenchBase {
     val nInfS = shortestPath.filter(col("source") === "inferred").count()
     println(s"inferred semantics: knowledge=$nInfK shortest-path=$nInfS")
 
+    def scores(g: Metrics.GapRecovery, nInferred: Long) = Map(
+      "gap_s" -> g.gapSeconds, "covered_s" -> g.covered, "region_ok_s" -> g.regionCorrect,
+      "coverage" -> g.coverage, "accuracy" -> g.accuracy,
+      "inferred_semantics" -> nInferred)
+    QualityLog.record("T4", "gaps" -> nGaps,
+      "knowledge_map" -> scores(gK, nInfK), "shortest_path" -> scores(gS, nInfS))
+
     // Shape: the Complementor must actually fill holes, and the learned
     // prior must not be worse than the flat one.
     assert(nGaps > 0 && gK.gapSeconds > 0)

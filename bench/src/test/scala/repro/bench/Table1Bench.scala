@@ -10,6 +10,7 @@ class Table1Bench extends BenchBase {
     banner("T1 (paper Table 1): raw records vs mobility semantics")
     val table = Table1Demo.run(spark)
     println(table)
+    QualityLog.record("T1", "table" -> table.linesIterator.toSeq)
     assert(table.contains("stay, Adidas"))
     assert(table.contains("pass-by, Nike"))
     assert(table.contains("stay, Cashier"))

@@ -2,6 +2,7 @@ package repro.baseline
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
+import repro.core.PerDevice
 import repro.core.Schema._
 import repro.indoor.Dsm
 import repro.indoor.Geometry._
@@ -87,8 +88,6 @@ object StopMove {
   def annotate(spark: SparkSession, raw: Dataset[PosRecord],
                dsm: Broadcast[Dsm]): Dataset[Semantic] = {
     import spark.implicits._
-    raw.groupByKey(_.deviceId).flatMapGroups { (_, it) =>
-      annotateDevice(dsm.value, it.toSeq)
-    }
+    PerDevice.flatMap(raw)(_.deviceId)(annotateDevice(dsm.value, _))
   }
 }

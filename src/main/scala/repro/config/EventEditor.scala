@@ -1,7 +1,7 @@
 package repro.config
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.core.{Cleaner, EventModel, Features}
+import repro.core.{Cleaner, EventModel, Features, PerDevice}
 import repro.core.Schema._
 import repro.gen.SynthIndoor
 import repro.gen.SynthIndoor.SimConfig
@@ -29,28 +29,26 @@ object EventEditor {
   final case class TrainingExample(deviceId: String, label: String,
                                    features: Array[Double])
 
-  /** Cut the designated segments out of the cleaned data and extract their
-    * features. Segments with fewer than 2 covered records carry no
-    * trajectory shape and are dropped. Distributed: records are grouped by
-    * device and matched to that device's segments.
+  /** The training examples of one device: each of its designated
+    * `segments`, in order, cut out of its `cleaned` records and turned
+    * into features. A segment covering fewer than 2 records carries no
+    * trajectory shape and is dropped.
     */
+  def examples(segments: Seq[LabeledSegment], cleaned: Seq[CleanRecord]): Seq[TrainingExample] = {
+    val rs = cleaned.sortBy(_.ts)
+    segments.flatMap { s =>
+      val in = rs.filter(r => r.ts >= s.tStart && r.ts <= s.tEnd)
+      if (in.size < 2) None
+      else Some(TrainingExample(s.deviceId, s.label, Features.of(s.deviceId, 0, in).vector))
+    }
+  }
+
+  /** [[examples]] of every device that has designated segments. */
   def trainingData(spark: SparkSession, cleaned: Dataset[CleanRecord],
                    segments: Seq[LabeledSegment]): Dataset[TrainingExample] = {
     import spark.implicits._
     val byDev = segments.groupBy(_.deviceId)
-    val b = spark.sparkContext.broadcast(byDev)
-    cleaned.groupByKey(_.deviceId).flatMapGroups { (dev, it) =>
-      b.value.get(dev) match {
-        case None => Iterator.empty
-        case Some(segs) =>
-          val rs = it.toVector.sortBy(_.ts)
-          segs.iterator.flatMap { s =>
-            val in = rs.filter(r => r.ts >= s.tStart && r.ts <= s.tEnd)
-            if (in.size < 2) None
-            else Some(TrainingExample(dev, s.label, Features.of(dev, 0, in).vector))
-          }
-      }
-    }
+    PerDevice.flatMap(cleaned)(_.deviceId)(rs => examples(byDev.getOrElse(rs.head.deviceId, Nil), rs))
   }
 
   /** Auto-designate training segments from ground truth — the programmatic
@@ -79,19 +77,20 @@ object EventEditor {
   /** The Event Editor step on a simulated population: designate segments
     * from the ground truth of a `trainFraction` of `cfg`'s devices, cut
     * them out of those devices' cleaned records and train the event
-    * model. Each training device is simulated once, for both its truth
-    * and its raw records; the other devices are not simulated. Returns the
-    * model and the training devices.
+    * model. Each training device is simulated and cleaned once, in one
+    * Spark job; the cut and the fit run on the driver. The other devices
+    * are not simulated. Returns the model and the training devices.
     */
   def trainOnSimulation(spark: SparkSession, dsm: Dsm, cfg: SimConfig,
                         trainFraction: Double): (EventModel, Set[String]) = {
     import spark.implicits._
     val trainDevs = trainSplit((0 until cfg.nDevices).map(SynthIndoor.deviceId), trainFraction)
     val devices = SynthIndoor.perDevice(spark, dsm, cfg, i => trainDevs(SynthIndoor.deviceId(i))) { s =>
-      Iterator.single((SynthIndoor.encodeTruth(s.deviceId, s.gt), Cleaner.cleanDevice(dsm, s.raw)))
+      Iterator.single((s.deviceId, SynthIndoor.encodeTruth(s.deviceId, s.gt),
+                       Cleaner.cleanDevice(dsm, s.raw)))
     }.collect()
-    val segments = designateFromTruth(devices.flatMap(_._1).toSeq, trainDevs)
-    val examples = trainingData(spark, devices.flatMap(_._2).toSeq.toDS(), segments)
-    (EventModel.train(examples.collect().toSeq), trainDevs)
+    val segments = designateFromTruth(devices.flatMap(_._2).toSeq, trainDevs).groupBy(_.deviceId)
+    val cut = devices.toSeq.flatMap { case (id, _, cleaned) => examples(segments.getOrElse(id, Nil), cleaned) }
+    (EventModel.train(cut), trainDevs)
   }
 }

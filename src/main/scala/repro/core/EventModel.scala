@@ -24,20 +24,18 @@ final case class EventModel(model: Model) extends Serializable {
 object EventModel {
 
   /** Train from Event Editor examples (driver-side; the analyst labels
-    * hundreds of segments, not millions). */
+    * hundreds of segments, not millions). The fit depends on example
+    * order in its last bits, so the examples are stable-sorted by device
+    * first: the model does not depend on how a Dataset of them was
+    * partitioned. */
   def train(examples: Seq[TrainingExample],
             l2: Double = 1e-3, maxIter: Int = 800): EventModel = {
     require(examples.nonEmpty, "no training examples designated")
-    val xs = examples.map(_.features)
-    val ys = examples.map(e => if (e.label == Stay) 1 else 0)
+    val sorted = examples.sortBy(_.deviceId)
+    val xs = sorted.map(_.features)
+    val ys = sorted.map(e => if (e.label == Stay) 1 else 0)
     require(ys.distinct.size == 2,
       "training set must contain both stay and pass-by segments")
     EventModel(LogisticRegression.fit(xs, ys, l2 = l2, maxIter = maxIter))
   }
-
-  /** Rule-based fallback used only when no training data exists (the
-    * analyst skipped step 3): a snippet reads as a stay when it is dense
-    * and slow for a while. Kept for robustness; benches always train. */
-  def heuristic: SnippetFeatures => String = f =>
-    if (f.duration >= 60 && f.avgSpeed <= 0.5) Stay else PassBy
 }

@@ -4,8 +4,9 @@ import org.apache.spark.sql.{Dataset, Encoder}
 import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 
-/** The one per-device grouping idiom of the layers' Spark entry points and
-  * of `Translator.translate`.
+/** The one per-device grouping idiom: of `Translator.translate`, the
+  * layers' Spark entry points, the Event Editor's example cut and the
+  * stop/move baseline.
   *
   * Rows are shuffled on the `deviceId` column straight into one partition
   * per core, and each partition groups its rows by device in a hash map.
@@ -18,7 +19,7 @@ import scala.collection.mutable
   * arrive in. Within a device, rows keep no particular order: every
   * per-device function sorts its own input.
   */
-private[core] object PerDevice {
+private[repro] object PerDevice {
 
   /** `ds` shuffled on its `deviceId` column into one partition per core. */
   def shuffle[T](ds: Dataset[T]): Dataset[T] =

@@ -80,6 +80,52 @@ object SynthIndoor {
     shops(k)._1
   }
 
+  // ---------------------------------------------------------------- trace
+
+  /** One device's 1 Hz ground truth as it is built: the clock `t`, the
+    * current point `cur` and the truth so far. [[simulate]] and
+    * [[table1Scenario]] script their shoppers with it; only `dwell` draws
+    * from `rng`, two numbers per second. */
+  private final class Trace(dsm: Dsm, id: String, rng: Random,
+                            var t: Long, var cur: IndoorPoint) {
+    private val gt = Vector.newBuilder[GtRecord]
+
+    /** The device is at `p` for the current second. */
+    def emit(p: IndoorPoint, event: String): Unit = {
+      val r = dsm.regionAtSnapped(p).getOrElse(
+        throw new IllegalStateException(s"simulated point off-map: $p"))
+      gt += GtRecord(id, t, p.x, p.y, p.floor, r.id, r.tag, event)
+      cur = p
+      t += 1
+    }
+
+    /** Walk `cur` → `dst` at 1 Hz along the shortest indoor path, in
+      * `seconds(path length)` seconds. */
+    def walk(dst: IndoorPoint, seconds: Double => Int): Unit = {
+      val w = dsm.walk(cur, dst).getOrElse(
+        throw new IllegalArgumentException(s"unreachable $cur -> $dst"))
+      val dur = seconds(w.dist)
+      for (s <- 1 to dur) emit(w.at(s.toDouble / dur), PassBy)
+      cur = dst
+    }
+
+    /** Dwell `seconds` in `rect` on the current floor, from `cur` clamped
+      * into it: each second steps `pull` of the way to `anchor` plus a
+      * uniform jitter of width `jitter` per axis, clamped to `rect`. */
+    def dwell(rect: Rect, anchor: Pt, pull: Double, jitter: Double,
+              seconds: Int, event: String): Unit = {
+      var p = rect.clamp(cur.pt)
+      for (_ <- 1 to seconds) {
+        val step = Pt((anchor.x - p.x) * pull + (rng.nextDouble() - 0.5) * jitter,
+                      (anchor.y - p.y) * pull + (rng.nextDouble() - 0.5) * jitter)
+        p = rect.clamp(p + step)
+        emit(IndoorPoint(p.x, p.y, cur.floor), event)
+      }
+    }
+
+    def result(): Vector[GtRecord] = gt.result()
+  }
+
   // ---------------------------------------------------------------- simulate
 
   /** Simulate one device. Deterministic in (cfg.seed, idx). */
@@ -100,63 +146,42 @@ object SynthIndoor {
       if (rng.nextDouble() < 0.7) StayVisit(s, 90 + rng.nextInt(600)) else PassVisit(s)
     }
 
-    val gt = Vector.newBuilder[GtRecord]
-    var t = start
-    var cur = startP
+    val trace = new Trace(dsm, id, rng, start, startP)
 
-    def emit(p: IndoorPoint, event: String): Unit = {
-      val r = dsm.regionAtSnapped(p).getOrElse(
-        throw new IllegalStateException(s"simulated point off-map: $p"))
-      gt += GtRecord(id, t, p.x, p.y, p.floor, r.id, r.tag, event)
-      t += 1
-    }
-
-    /** Walk cur → dst at 1 Hz along the shortest indoor path. Duration is
-      * derived from the full walking cost (stair climbs included), so the
-      * trace never violates the DSM's minimum-walking-distance speed model
-      * that the Cleaner later enforces. */
-    def walkTo(dst: IndoorPoint): Unit = {
-      val walk = dsm.walk(cur, dst).getOrElse(
-        throw new IllegalArgumentException(s"unreachable $cur -> $dst"))
+    /** A walking pace drawn for one walk: its duration for a given path
+      * length. Duration derives from the full walking cost (stair climbs
+      * included), so the trace never violates the DSM's
+      * minimum-walking-distance speed model that the Cleaner enforces. */
+    def pace(): Double => Int = {
       val v = cfg.walkSpeed * (0.85 + 0.3 * rng.nextDouble())
-      val dur = math.max(1, math.round(walk.dist / v).toInt)
-      for (s <- 1 to dur) emit(walk.at(s.toDouble / dur), PassBy)
-      cur = dst
+      dist => math.max(1, math.round(dist / v).toInt)
     }
 
-    /** Dwell inside region `rid` for `dur` seconds: slow wander around an
-      * anchor, clamped to the region footprint (inset 0.5 m). */
-    def dwell(rid: String, dur: Int, event: String): Unit = {
-      val rect = dsm.regionById(rid).rect.inflate(-0.5)
-      val anchor = Pt(rect.xMin + rng.nextDouble() * rect.width,
-                      rect.yMin + rng.nextDouble() * rect.height)
-      var p = cur.pt
-      for (_ <- 1 to dur) {
-        val pull = (anchor - p) * 0.1
-        val step = Pt(pull.x + (rng.nextDouble() - 0.5) * 0.8,
-                      pull.y + (rng.nextDouble() - 0.5) * 0.8)
-        p = rect.clamp(p + step)
-        cur = IndoorPoint(p.x, p.y, cur.floor)
-        emit(cur, event)
-      }
-    }
+    /** Uniform random point of `rect`. */
+    def pointIn(rect: Rect): Pt =
+      Pt(rect.xMin + rng.nextDouble() * rect.width, rect.yMin + rng.nextDouble() * rect.height)
 
     /** Random interior point of a shop (inset 1 m from the walls). */
     def insidePoint(rid: String): IndoorPoint = {
       val region = dsm.regionById(rid)
-      val rect = region.rect.inflate(-1.0)
-      IndoorPoint(rect.xMin + rng.nextDouble() * rect.width,
-                  rect.yMin + rng.nextDouble() * rect.height, region.floor)
+      val p = pointIn(region.rect.inflate(-1.0))
+      IndoorPoint(p.x, p.y, region.floor)
     }
 
-    emit(cur, PassBy) // first second at the entrance
+    /** Wander around a random anchor of shop `rid` (inset 0.5 m). */
+    def browse(rid: String, dur: Int, event: String): Unit = {
+      val rect = dsm.regionById(rid).rect.inflate(-0.5)
+      trace.dwell(rect, pointIn(rect), 0.1, 0.8, dur, event)
+    }
+
+    trace.emit(startP, PassBy) // first second at the entrance
     visits.foreach {
-      case StayVisit(s, dur) => walkTo(insidePoint(s)); dwell(s, dur, Stay)
-      case PassVisit(s)      => walkTo(insidePoint(s)); dwell(s, 4 + rng.nextInt(12), PassBy)
+      case StayVisit(s, dur) => trace.walk(insidePoint(s), pace()); browse(s, dur, Stay)
+      case PassVisit(s)      => trace.walk(insidePoint(s), pace()); browse(s, 4 + rng.nextInt(12), PassBy)
     }
-    if (rng.nextDouble() < 0.5) walkTo(entrance.center)
+    if (rng.nextDouble() < 0.5) trace.walk(entrance.center, pace())
 
-    val truth = gt.result()
+    val truth = trace.result()
 
     // ------------------------------------------------- observation model
     val raw = Vector.newBuilder[PosRecord]
@@ -270,33 +295,17 @@ object SynthIndoor {
     val base = WeekStart + 13 * 3600 // 1:00 pm, 2017-01-01
     def region(tag: String) = dsm.regions.find(_.tag == tag).getOrElse(sys.error(s"no region $tag"))
 
-    val gt = Vector.newBuilder[GtRecord]
-    var t = base + 2 * 60 + 5 // 1:02:05 pm
-    var cur: IndoorPoint = {
+    val trace = new Trace(dsm, id, rng, base + 2 * 60 + 5, { // 1:02:05 pm
       val r = region("Adidas"); val c = r.rect.inflate(-1).center; IndoorPoint(c.x, c.y, r.floor)
+    })
+    /** A walk that takes the seconds from now until `until`. */
+    def arriving(until: Long): Double => Int = {
+      val dur = math.max(1, (until - trace.t).toInt); _ => dur
     }
-    def emit(p: IndoorPoint, event: String): Unit = {
-      val r = dsm.regionAtSnapped(p).get
-      gt += GtRecord(id, t, p.x, p.y, p.floor, r.id, r.tag, event); t += 1
-    }
-    def dwell(tag: String, until: Long, event: String): Unit = {
+    /** Stay around the centre of `tag` through `until`. */
+    def stay(tag: String, until: Long): Unit = {
       val rect = region(tag).rect.inflate(-0.8)
-      var p = rect.clamp(cur.pt)
-      val anchor = rect.center
-      while (t <= until) {
-        val step = Pt((anchor.x - p.x) * 0.05 + (rng.nextDouble() - 0.5) * 0.7,
-                      (anchor.y - p.y) * 0.05 + (rng.nextDouble() - 0.5) * 0.7)
-        p = rect.clamp(p + step)
-        cur = IndoorPoint(p.x, p.y, region(tag).floor)
-        emit(cur, event)
-      }
-    }
-    def walkTo(dst: IndoorPoint, until: Long): Unit = {
-      val dur = math.max(1, (until - t).toInt)
-      val from = cur
-      val walk = dsm.walk(from, dst)
-      for (s <- 1 to dur) emit(walk.fold(from)(_.at(s.toDouble / dur)), PassBy)
-      cur = dst
+      trace.dwell(rect, rect.center, 0.05, 0.7, (until - trace.t + 1).toInt, Stay)
     }
     /** Browse through a region without stopping: a waypoint walk that
       * sweeps across the footprint — a pass-by, however long it takes. */
@@ -306,10 +315,9 @@ object SynthIndoor {
       val ways = Vector(
         Pt(rect.xMin + 1, rect.yMax - 1), Pt(rect.xMax - 1, rect.yMin + 1),
         Pt(rect.xMin + 1, rect.yMin + 1), Pt(rect.xMax - 1, rect.yMax - 1))
-      val poly = cur.pt +: ways
-      val lens = poly.sliding(2).map { case Seq(a, b) => a.dist(b) }.toVector
-      val total = lens.sum
-      val dur = math.max(1, (until - t).toInt)
+      val poly = trace.cur.pt +: ways
+      val total = poly.zip(poly.tail).map { case (a, b) => a.dist(b) }.sum
+      val dur = math.max(1, (until - trace.t).toInt)
       for (s <- 1 to dur) {
         var remaining = total * s / dur
         var p = poly.head
@@ -318,21 +326,22 @@ object SynthIndoor {
           p = if (remaining >= l) b else a.lerp(b, remaining / l)
           remaining -= l
         }
-        cur = IndoorPoint(p.x, p.y, r.floor)
-        emit(cur, PassBy)
+        trace.emit(IndoorPoint(p.x, p.y, r.floor), PassBy)
       }
     }
 
-    dwell("Adidas", base + 18 * 60 + 15, Stay)                  // 1:02:05-1:18:15
+    stay("Adidas", base + 18 * 60 + 15)                         // 1:02:05-1:18:15
     val nike = region("Nike")
     // Browse through Nike (a pass-by that lasts ~2 minutes, as in Table 1).
-    walkTo(IndoorPoint(nike.rect.xMin + 1.2, nike.rect.yMin + 1.2, nike.floor), base + 18 * 60 + 40)
+    trace.walk(IndoorPoint(nike.rect.xMin + 1.2, nike.rect.yMin + 1.2, nike.floor),
+               arriving(base + 18 * 60 + 40))
     amble("Nike", base + 20 * 60 + 13)                          // ..1:20:13
     val cashier = region("Cashier")
-    walkTo(IndoorPoint(cashier.rect.center.x, cashier.rect.center.y, cashier.floor), base + 20 * 60 + 40)
-    dwell("Cashier", base + 24 * 60 + 5, Stay)                  // ..1:24:05
+    trace.walk(IndoorPoint(cashier.rect.center.x, cashier.rect.center.y, cashier.floor),
+               arriving(base + 20 * 60 + 40))
+    stay("Cashier", base + 24 * 60 + 5)                         // ..1:24:05
 
-    val truth = gt.result()
+    val truth = trace.result()
     val raw = Vector.newBuilder[PosRecord]
     var next = truth.head.ts
     truth.foreach { g =>

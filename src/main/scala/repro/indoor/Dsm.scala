@@ -29,8 +29,6 @@ final case class Region(id: String, floor: Int, rect: Rect, tag: String, kind: S
 final case class Door(id: String, regionA: String, regionB: String,
                       x: Double, y: Double, crossCost: Double = 0.0) {
   def pt: Pt = Pt(x, y)
-  def connects(r: String): Boolean = r == regionA || r == regionB
-  def other(r: String): String = if (r == regionA) regionB else regionA
 }
 
 /** Digital Space Model: the semi-structured model produced by the Space
@@ -43,7 +41,7 @@ final case class Door(id: String, regionA: String, regionB: String,
   *  - `minWalkDist` — the minimum indoor walking distance between two
   *    indoor points, respecting walls, doors and staircases (used for the
   *    speed-constraint check, per Yang et al. as cited by the paper);
-  *  - `walk` / `walkPath` — the corresponding shortest indoor path, used by
+  *  - `walk` — the corresponding shortest indoor path, used by
   *    the location-interpolation repair and the simulator.
   *
   * Distances follow Lu, Cao & Jensen (ICDE 2012): an all-pairs door-to-door
@@ -288,25 +286,6 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
 
   /** [[walk]] between two points, locating both first. */
   def walk(a: IndoorPoint, b: IndoorPoint): Option[Walk] = walk(locate(a), locate(b))
-
-  /** Shortest indoor walking path a→b as cost-weighted steps (the first
-    * step is `a` at cost 0; total cost equals [[minWalkDist]]). None when
-    * unreachable. */
-  def walkPathWeighted(a0: IndoorPoint, b0: IndoorPoint): Option[Vector[PathStep]] =
-    walk(a0, b0).map(_.steps)
-
-  /** Shortest indoor walking path a→b as ordered waypoints (endpoints
-    * included; stair climbs contribute a waypoint per floor side).
-    * Returns the straight segment when the two points share a region,
-    * None when unreachable.
-    */
-  def walkPath(a0: IndoorPoint, b0: IndoorPoint): Option[Vector[IndoorPoint]] =
-    walkPathWeighted(a0, b0).map { steps =>
-      steps.map(_.point).foldLeft(Vector.empty[IndoorPoint]) {
-        case (acc, p) if acc.nonEmpty && acc.last == p => acc
-        case (acc, p)                                  => acc :+ p
-      }
-    }
 
   /** Door indices along the precomputed shortest route i→j (inclusive). */
   private def doorChain(i: Int, j: Int): Vector[Int] = {

@@ -43,8 +43,8 @@ object AsciiMap {
         if (lx + i < x1) grid(ly)(lx + i) = c
       }
     }
-    dsm.doors.filter(d => d.connects("") == false &&
-        (dsm.regionById(d.regionA).floor == floor || dsm.regionById(d.regionB).floor == floor))
+    dsm.doors.filter(d =>
+        dsm.regionById(d.regionA).floor == floor || dsm.regionById(d.regionB).floor == floor)
       .foreach { d => grid(gy(d.y))(gx(d.x)) = 'D' }
     marks.foreach { case (x, y, c) =>
       if (x >= bounds.xMin && x <= bounds.xMax && y >= bounds.yMin && y <= bounds.yMax)

@@ -69,9 +69,11 @@ class StopMoveSpec extends SparkSpec {
     val rs = ((0 until 30).map(i => rec(i * 5L, 5, 5)) ++
       (0 until 30).map(i => PosRecord("dev2", i * 5L, 15, 5, 0))).toDS()
     val b = spark.sparkContext.broadcast(dsm)
-    val out = StopMove.annotate(spark, rs, b).collect()
-    assert(out.filter(_.deviceId == "dev").toVector ==
-      StopMove.annotateDevice(dsm, (0 until 30).map(i => rec(i * 5L, 5, 5))))
-    assert(out.exists(s => s.deviceId == "dev2" && s.tag == "Nike"))
+    Seq(1, 7).foreach { n =>
+      val out = StopMove.annotate(spark, rs.repartition(n), b).collect()
+      assert(out.filter(_.deviceId == "dev").toVector ==
+        StopMove.annotateDevice(dsm, (0 until 30).map(i => rec(i * 5L, 5, 5))), s"$n partitions")
+      assert(out.exists(s => s.deviceId == "dev2" && s.tag == "Nike"), s"$n partitions")
+    }
   }
 }

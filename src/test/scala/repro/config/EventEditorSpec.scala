@@ -92,6 +92,34 @@ class EventEditorSpec extends SparkSpec {
     assert(model.model.std.mean.toSeq == ref.std.mean.toSeq && model.model.std.std.toSeq == ref.std.std.toSeq)
   }
 
+  test("the trained model does not depend on shuffle or input partitioning") {
+    import spark.implicits._
+    val dsm = Mall.dsm()
+    val cfg = SimConfig(nDevices = 100, seed = 77L)
+    val truth = SynthIndoor.truthSemantics(spark, dsm, cfg).collect().toSeq
+    val devs = EventEditor.trainSplit(truth.map(_.deviceId), 0.2)
+    val segments = EventEditor.designateFromTruth(truth, devs)
+    val cleaned = SynthIndoor.raw(spark, dsm, cfg).collect().toSeq.filter(r => devs(r.deviceId))
+      .groupBy(_.deviceId).values.flatMap(Cleaner.cleanDevice(dsm, _)).toSeq
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val conf = spark.conf
+    val saved = Seq("spark.sql.adaptive.enabled", "spark.sql.shuffle.partitions")
+      .map(k => k -> conf.getOption(k))
+    val fits = try {
+      conf.set("spark.sql.adaptive.enabled", "false")
+      Seq(1, 7).map { n =>
+        conf.set("spark.sql.shuffle.partitions", n.toString)
+        val m = EventModel.train(EventEditor.trainingData(spark, cleaned.toDS().repartition(n),
+          segments).collect().toSeq).model
+        (bits(m.w), bits(Array(m.b)), bits(m.std.mean), bits(m.std.std))
+      }
+    } finally saved.foreach {
+      case (k, Some(v)) => conf.set(k, v)
+      case (k, None)    => conf.unset(k)
+    }
+    assert(fits.distinct.size == 1)
+  }
+
   test("trainSplit is deterministic and sized by fraction") {
     val ids = (0 until 10).map(i => s"dev$i")
     val s = EventEditor.trainSplit(ids, 0.3)

@@ -1,0 +1,39 @@
+package repro.core
+
+import repro.{Oracle, SparkSpec}
+import repro.core.Schema._
+
+/** `Cleaner.euclidSpeeds` (T2's speed-violation row) against the same
+  * window query on DuckDB. */
+class EuclidSpeedsSpec extends SparkSpec {
+
+  test("euclidSpeeds agrees with DuckDB on first records, duplicate timestamps and floor changes") {
+    import spark.implicits._
+    val raw = Seq(
+      PosRecord("a", 0, 0, 0, 0),  // first record: no speed
+      PosRecord("a", 10, 3, 4, 0), // 5 m in 10 s
+      PosRecord("a", 10, 3, 4, 0), // the same record again: dt = 0, no speed
+      PosRecord("a", 20, 3, 4, 1), // floor change: no speed
+      PosRecord("a", 30, 9, 12, 1), // 10 m in 10 s
+      PosRecord("b", 5, 1, 1, 2),
+      PosRecord("b", 7, 4, 5, 2)   // 5 m in 2 s
+    ).toDF()
+    val speeds = Cleaner.euclidSpeeds(raw)
+    assert(speeds.collect().flatMap(r => Option(r.getAs[java.lang.Double]("euclid_speed")))
+      .map(_.doubleValue).sorted.toSeq == Seq(0.5, 1.0, 2.5))
+    Oracle.assertEquivalent(speeds,
+      """WITH t AS (
+        |  SELECT deviceId, CAST(ts AS BIGINT) AS ts, CAST(x AS DOUBLE) AS x,
+        |         CAST(y AS DOUBLE) AS y, CAST(floor AS INT) AS floor FROM raw),
+        |l AS (
+        |  SELECT *, lag(ts) OVER w AS prev_ts, lag(x) OVER w AS prev_x,
+        |         lag(y) OVER w AS prev_y, lag(floor) OVER w AS prev_floor
+        |  FROM t WINDOW w AS (PARTITION BY deviceId ORDER BY ts))
+        |SELECT deviceId AS device_id, ts, prev_ts,
+        |       CASE WHEN prev_ts IS NOT NULL AND ts > prev_ts AND floor = prev_floor
+        |            THEN sqrt(pow(x - prev_x, 2) + pow(y - prev_y, 2)) / (ts - prev_ts)
+        |       END AS euclid_speed
+        |FROM l""".stripMargin,
+      "raw" -> raw)
+  }
+}

@@ -61,13 +61,6 @@ class EventModelSpec extends AnyFunSuite {
     assert(model.stayProbability(stay) > model.stayProbability(pass))
   }
 
-  test("heuristic fallback separates the prototypes") {
-    val stay = SnippetFeatures("d", 0, 400, 10, 0.1, 0.3, 3, 5, 2, 60)
-    val pass = SnippetFeatures("d", 1, 20, 30, 1.4, 1.8, 20, 25, 1, 5)
-    assert(EventModel.heuristic(stay) == Stay)
-    assert(EventModel.heuristic(pass) == PassBy)
-  }
-
   test("model survives serialization") {
     val model = EventModel.train(examples(50, 3))
     val bos = new java.io.ByteArrayOutputStream()

@@ -102,7 +102,7 @@ class DsmSpec extends AnyFunSuite {
         assert(dsm.minWalkDist(q, p(5, 5, 0)) == Double.PositiveInfinity)
         assert(dsm.minWalkDist(p(5, 5, 0), q) == Double.PositiveInfinity)
         assert(dsm.minWalkDist(q, q) == Double.PositiveInfinity)
-        assert(dsm.walkPath(q, p(5, 5, 0)).isEmpty)
+        assert(dsm.walk(q, p(5, 5, 0)).isEmpty)
         assert(dsm.alongPath(q, p(5, 5, 0), 0.5) eq q)
       }
     }
@@ -140,10 +140,10 @@ class DsmSpec extends AnyFunSuite {
   }
 
   test("walkPath same region is the straight segment") {
-    assert(dsm.walkPath(p(1, 1, 0), p(9, 9, 0)).contains(Vector(p(1, 1, 0), p(9, 9, 0))))
+    assert(dsm.walk(p(1, 1, 0), p(9, 9, 0)).map(_.steps.map(_.point)).contains(Vector(p(1, 1, 0), p(9, 9, 0))))
   }
   test("walkPath across rooms passes the door waypoints") {
-    val path = dsm.walkPath(p(2, 5, 0), p(15, 5, 1)).get
+    val path = dsm.walk(p(2, 5, 0), p(15, 5, 1)).get.steps.map(_.point)
     assert(path.head == p(2, 5, 0) && path.last == p(15, 5, 1))
     // Contains d1, d2, the stair connector (on both floors is one xy) and d3.
     assert(path.exists(w => w.x == 10 && w.y == 5 && w.floor == 0))
@@ -151,11 +151,11 @@ class DsmSpec extends AnyFunSuite {
     assert(path.exists(w => w.x == 20 && w.y == 5 && w.floor == 1))
   }
   test("walkPath to isolated room is None") {
-    assert(dsm.walkPath(p(5, 5, 0), p(45, 5, 0)).isEmpty)
+    assert(dsm.walk(p(5, 5, 0), p(45, 5, 0)).isEmpty)
   }
   test("walkPath length equals minWalkDist (same floor)") {
     val a = p(2, 1, 0); val b = p(18, 9, 0)
-    val path = dsm.walkPath(a, b).get
+    val path = dsm.walk(a, b).get.steps.map(_.point)
     val len = path.sliding(2).map { case Vector(u, v) => u.planarDist(v) }.sum
     assert(math.abs(len - dsm.minWalkDist(a, b)) < 1e-9)
   }

@@ -188,7 +188,7 @@ object LocateProps extends Properties("Locate") {
 
   property("walkPathWeighted == reference; walk.dist == minWalkDist") = forAll(point, point) {
     (a, b) =>
-      dsm.walkPathWeighted(a, b).map(_.map(s => (exact(s.point), bits(s.cost)))) ==
+      dsm.walk(a, b).map(_.steps.map(s => (exact(s.point), bits(s.cost)))) ==
         Ref.walkPathWeighted(a, b).map(_.map { case (q, c) => (exact(q), bits(c)) }) &&
         bits(dsm.walk(a, b).fold(Double.PositiveInfinity)(_.dist)) == bits(dsm.minWalkDist(a, b))
   }
