@@ -14,17 +14,22 @@ import repro.indoor.Geometry.IndoorPoint
   * Identifies invalid raw positioning records by checking the speeds
   * between consecutive records against the '''minimum indoor walking
   * distance''' from the DSM (people cannot move through walls, and cannot
-  * move faster than `maxSpeed` indoors — Yang et al. [13] as cited). An
-  * invalid record is repaired in two steps:
+  * move faster than `maxSpeed` indoors — Yang et al. [13] as cited). Each
+  * record, in time order, gets the first `repair` whose rule applies:
   *
-  *  1. '''Floor value correction''' — if substituting the last valid
-  *     record's floor removes the violation, the floor value was wrong
-  *     (a classic Wi-Fi positioning failure across slabs);
-  *  2. '''Location interpolation''' — otherwise the possible location at
-  *     that record's time is derived from the indoor geometry/topology:
-  *     the point at the time-proportional position along the shortest
-  *     indoor walking path between the last valid record and the next
-  *     record reachable from it.
+  *  1. `none`: it passes the speed check from the last kept record;
+  *  1. `floor` ('''floor value correction'''): it passes on the last kept
+  *     floor, which a record ahead still reports (a classic Wi-Fi
+  *     positioning failure across slabs);
+  *  1. `reanchor`: the next records agree with it and none with the last
+  *     kept record, so that record was the outlier;
+  *  1. `interp` ('''location interpolation'''): it takes the
+  *     time-proportional point along the shortest indoor walking path from
+  *     the last kept record to the next record ahead reachable from it.
+  *
+  * An off-map first record (a non-finite x or y, or an unmodelled floor)
+  * takes the location of the first on-map record, as `interp`; a device
+  * with no on-map record keeps it, as `none`.
   *
   * The per-device pass is sequential (each repair feeds the next check).
   * `Translator.translate` runs it inside its single per-device pass;
@@ -64,108 +69,94 @@ object Cleaner {
   def cleanDevice(dsm: Dsm, records: Seq[PosRecord],
                   maxSpeed: Double = DefaultMaxSpeed,
                   noiseSlack: Double = DefaultNoiseSlack): Vector[CleanRecord] = {
-    // Sort once and drop duplicate timestamps, keeping the first in
+    // Sort once and drop duplicate timestamps in place, keeping the first in
     // `ByTsThenFields` order, so the result does not depend on input order.
-    val sorted = records.sorted(ByTsThenFields)
-      .foldLeft(Vector.empty[PosRecord]) {
-        case (acc, r) if acc.nonEmpty && acc.last.ts == r.ts => acc
-        case (acc, r)                                        => acc :+ r
-      }
-    if (sorted.isEmpty) return Vector.empty
+    val rs = records.toArray.sortInPlace()(ByTsThenFields)
+    var n = 0 // rs(0 until n) are the records to clean
+    for (r <- rs) if (n == 0 || rs(n - 1).ts != r.ts) { rs(n) = r; n += 1 }
+    if (n == 0) return Vector.empty
 
-    // Each record is located in the DSM once; `last` carries its own
-    // located point, and a floor-substituted candidate is located only
-    // when it is tried.
-    val loc = sorted.map(r => dsm.locate(r.point))
+    // Each record is located in the DSM once; a floor-substituted candidate
+    // is located only when it is tried.
+    val loc = Array.tabulate(n)(i => dsm.locate(rs(i).point))
 
     def ok(from: Located, fromTs: Long, to: Located, toTs: Long): Boolean = {
       val dt = (toTs - fromTs).toDouble
       dt > 0 && math.max(0.0, dsm.minWalkDist(from, to) - noiseSlack) / dt <= maxSpeed
     }
 
-    // The first record is the first anchor. Off the map (a non-finite x or
-    // y, or a floor the DSM does not model) it can anchor nothing, so it
-    // takes the location of the first on-map record, as an interpolation;
-    // a device with no on-map record keeps it as it is.
-    val anchor = if (loc.head.region.isDefined) 0 else math.max(0, loc.indexWhere(_.region.isDefined))
-    val a = sorted(anchor)
     val out = Vector.newBuilder[CleanRecord]
-    var last = CleanRecord(a.deviceId, sorted.head.ts, a.x, a.y, a.floor,
-                           if (anchor == 0) "none" else "interp")
-    var lastLoc = loc(anchor)
-    out += last
+    var last: CleanRecord = null // the last kept record and its location,
+    var lastLoc: Located = null  // set by `keep`
+    def keep(ts: Long, x: Double, y: Double, floor: Int, located: Located, repair: String): Unit = {
+      last = CleanRecord(rs(0).deviceId, ts, x, y, floor, repair)
+      lastLoc = located
+      out += last
+    }
 
-    var i = 1
-    while (i < sorted.length) {
-      val r = sorted(i)
-      if (ok(lastLoc, last.ts, loc(i), r.ts)) {
-        last = CleanRecord(r.deviceId, r.ts, r.x, r.y, r.floor, "none")
-        lastLoc = loc(i)
-        out += last
-      } else {
-        // Step 1: floor value correction — only for an *isolated* floor
-        // blip: some upcoming record must still report the previous floor
-        // (floor errors are independent per record; a genuine floor change
-        // makes every later record disagree, and pinning the device to the
-        // old floor would cascade the error through the rest of the trace).
-        val lookNext = (i + 1 until math.min(i + 1 + Lookahead, sorted.length))
-        val corroborated = lookNext.isEmpty || lookNext.exists(j => sorted(j).floor == last.floor)
-        lazy val fixed = dsm.locate(IndoorPoint(r.x, r.y, last.floor))
-        if (r.floor != last.floor && corroborated && ok(lastLoc, last.ts, fixed, r.ts)) {
-          last = CleanRecord(r.deviceId, r.ts, r.x, r.y, last.floor, "floor")
-          lastLoc = fixed
-          out += last
-        } else {
-          // Trust-the-future re-anchor: when the upcoming records agree
-          // with r but none agrees with the last valid record, the stale
-          // anchor — not r — is the outlier (e.g. an earlier repair went
-          // wrong). Accept r as the new anchor instead of fabricating a
-          // position from a bad base; this bounds any repair cascade.
-          val votes = lookNext.take(3)
-          val agreeR = votes.count(j => ok(loc(i), r.ts, loc(j), sorted(j).ts))
-          val agreeLast = votes.count(j => ok(lastLoc, last.ts, loc(j), sorted(j).ts))
-          // Two independent corroborating records are required — one could
-          // itself be a correlated outlier (or share r's floor error).
-          if (votes.size >= 2 && agreeR >= 2 && agreeLast == 0) {
-            last = CleanRecord(r.deviceId, r.ts, r.x, r.y, r.floor, "reanchor")
-            lastLoc = loc(i)
-            out += last
-          } else {
-            // Step 2: location interpolation toward the next reachable
-            // anchor. The device's apparent floor is the majority floor of
-            // the lookahead window; anchors on that floor are preferred,
-            // and a floor-substituted anchor is only acceptable when the
-            // window majority actually supports the previous floor —
-            // otherwise interpolation would pin the device to it.
-            val majorityFloor =
-              if (lookNext.isEmpty) r.floor
-              else lookNext.map(j => sorted(j).floor).groupBy(identity)
-                .maxBy { case (f, v) => (v.size, f == last.floor) }._1
-            def okAsIs(j: Int) = ok(lastLoc, last.ts, loc(j), sorted(j).ts)
-            val anchor: Option[(Located, Long)] =
-              lookNext.find(j => sorted(j).floor == majorityFloor && okAsIs(j))
-                .orElse(lookNext.find(okAsIs))
-                .map(j => (loc(j), sorted(j).ts))
-                .orElse {
-                  if (majorityFloor != last.floor) None
-                  else lookNext.iterator.map { j =>
-                    (dsm.locate(IndoorPoint(sorted(j).x, sorted(j).y, last.floor)), sorted(j).ts)
-                  }.find { case (target, ts) => ok(lastLoc, last.ts, target, ts) }
-                }
-            val p = anchor match {
-              case Some((target, targetTs)) =>
-                val frac = (r.ts - last.ts).toDouble / (targetTs - last.ts).toDouble
-                dsm.walk(lastLoc, target).fold(last.point)(_.at(frac))
-              case None =>
-                last.point // no reachable anchor ahead: hold the last valid location
-            }
-            last = CleanRecord(r.deviceId, r.ts, p.x, p.y, p.floor, "interp")
-            lastLoc = dsm.locate(p)
-            out += last
+    def ahead(i: Int): Range = i + 1 until math.min(i + 1 + Lookahead, n)
+
+    // `floor` only for an *isolated* floor blip. Floor errors are
+    // independent per record; a genuine floor change makes every later
+    // record disagree, and pinning the device to the old floor would
+    // cascade the error through the rest of the trace.
+    def onLastFloor(i: Int): Option[Located] = {
+      val r = rs(i)
+      val look = ahead(i)
+      if (r.floor == last.floor || !(look.isEmpty || look.exists(j => rs(j).floor == last.floor))) None
+      else Some(dsm.locate(IndoorPoint(r.x, r.y, last.floor))).filter(ok(lastLoc, last.ts, _, r.ts))
+    }
+
+    // `reanchor` bounds a repair cascade (e.g. after an earlier repair went
+    // wrong). Two of the next three records must agree with record i: one
+    // could itself be a correlated outlier (or share its floor error).
+    def reanchors(i: Int): Boolean = {
+      val votes = ahead(i).take(3)
+      votes.size >= 2 &&
+        votes.count(j => ok(loc(i), rs(i).ts, loc(j), rs(j).ts)) >= 2 &&
+        !votes.exists(j => ok(lastLoc, last.ts, loc(j), rs(j).ts))
+    }
+
+    // `interp`: the device's apparent floor is the majority floor of the
+    // lookahead window; anchors on that floor are preferred, and a
+    // floor-substituted anchor is only acceptable when the majority is the
+    // last kept floor, otherwise interpolation would pin the device to it.
+    // With no reachable anchor ahead, the last kept location is held.
+    def interpolate(i: Int): IndoorPoint = {
+      val look = ahead(i)
+      val majorityFloor =
+        if (look.isEmpty) rs(i).floor
+        else look.map(j => rs(j).floor).groupBy(identity)
+          .maxBy { case (f, v) => (v.size, f == last.floor) }._1
+      def okAsIs(j: Int) = ok(lastLoc, last.ts, loc(j), rs(j).ts)
+      val anchor: Option[(Located, Long)] =
+        look.find(j => rs(j).floor == majorityFloor && okAsIs(j))
+          .orElse(look.find(okAsIs))
+          .map(j => (loc(j), rs(j).ts))
+          .orElse {
+            if (majorityFloor != last.floor) None
+            else look.iterator.map { j =>
+              (dsm.locate(IndoorPoint(rs(j).x, rs(j).y, last.floor)), rs(j).ts)
+            }.find { case (target, ts) => ok(lastLoc, last.ts, target, ts) }
           }
-        }
+      anchor.fold(last.point) { case (target, targetTs) =>
+        val frac = (rs(i).ts - last.ts).toDouble / (targetTs - last.ts).toDouble
+        dsm.walk(lastLoc, target).fold(last.point)(_.at(frac))
       }
-      i += 1
+    }
+
+    val first = if (loc(0).region.isDefined) 0 else math.max(0, loc.indexWhere(_.region.isDefined))
+    keep(rs(0).ts, rs(first).x, rs(first).y, rs(first).floor, loc(first), if (first == 0) "none" else "interp")
+    for (i <- 1 until n) {
+      val r = rs(i)
+      if (ok(lastLoc, last.ts, loc(i), r.ts)) keep(r.ts, r.x, r.y, r.floor, loc(i), "none")
+      else onLastFloor(i) match {
+        case Some(fixed)          => keep(r.ts, r.x, r.y, last.floor, fixed, "floor")
+        case None if reanchors(i) => keep(r.ts, r.x, r.y, r.floor, loc(i), "reanchor")
+        case None                 =>
+          val p = interpolate(i)
+          keep(r.ts, p.x, p.y, p.floor, dsm.locate(p), "interp")
+      }
     }
     out.result()
   }
@@ -173,10 +164,9 @@ object Cleaner {
   /** Clean all devices' records; device-parallel through its own
     * shuffle on the `deviceId` column. */
   def clean(spark: SparkSession, raw: Dataset[PosRecord], dsm: Broadcast[Dsm],
-            maxSpeed: Double = DefaultMaxSpeed,
-            noiseSlack: Double = DefaultNoiseSlack): Dataset[CleanRecord] = {
+            maxSpeed: Double = DefaultMaxSpeed): Dataset[CleanRecord] = {
     import spark.implicits._
-    PerDevice.flatMap(raw)(_.deviceId)(cleanDevice(dsm.value, _, maxSpeed, noiseSlack))
+    PerDevice.flatMap(raw)(_.deviceId)(cleanDevice(dsm.value, _, maxSpeed))
   }
 
   /** Consecutive-pair speeds per device using straight-line (Euclidean)
@@ -187,7 +177,7 @@ object Cleaner {
     * planar displacement meaningless, so speed is null there too.
     */
   def euclidSpeeds(raw: DataFrame): DataFrame = {
-    val w = Window.partitionBy("deviceId").orderBy("ts")
+    val w = Window.partitionBy("deviceId").orderBy("ts", "floor", "x", "y")
     raw
       .withColumn("prev_ts", lag("ts", 1).over(w))
       .withColumn("prev_x", lag("x", 1).over(w))

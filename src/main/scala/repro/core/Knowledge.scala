@@ -32,9 +32,6 @@ object Knowledge {
                                   stayShare: Map[String, Double],
                                   alpha: Double = 0.5) extends Serializable {
 
-    @transient private lazy val outMass: Map[String, Long] =
-      transitions.groupBy(_._1._1).map { case (r, m) => r -> m.values.sum }
-
     /** Smoothed P(to | from) restricted to `candidates` (the topologically
       * reachable successors — a transition must respect the space). */
     def prob(from: String, to: String, candidates: Set[String]): Double =

@@ -21,8 +21,11 @@ object Schema {
   }
 
   /** A cleaned positioning record; `repair` records what the Cleaning layer
-    * did: "none", "floor" (floor value correction) or "interp" (location
-    * interpolation). */
+    * did, in the order its rules are tried: "none" (kept as it is), "floor"
+    * (floor value correction), "reanchor" (kept as it is, as the new anchor
+    * in place of an outlying last record) or "interp" (location
+    * interpolation). An off-map first record that takes the location of the
+    * device's first on-map record is "interp" too. */
   final case class CleanRecord(deviceId: String, ts: Long, x: Double, y: Double,
                                floor: Int, repair: String) {
     def point: IndoorPoint = IndoorPoint(x, y, floor)

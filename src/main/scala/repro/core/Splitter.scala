@@ -34,69 +34,62 @@ object Splitter {
   /** A hole in the sampling larger than this starts a new snippet (s). */
   val DefaultSessionGap = 60L
 
-  /** Split one device's cleaned, time-sorted records into snippets. */
+  /** Split one device's cleaned, time-sorted records into snippets, in one
+    * pass: a dense window grows greedily from each record and never across
+    * a hole, and the movement run between dense snippets is flushed at each
+    * dense snippet and each hole. */
   def split(dsm: Dsm, records: Seq[CleanRecord],
             eps: Double = DefaultEps, minDur: Long = DefaultMinDur,
             sessionGap: Long = DefaultSessionGap): Vector[Snippet] = {
-    if (records.isEmpty) return Vector.empty
     val rs = records.toIndexedSeq
     val out = Vector.newBuilder[Snippet]
     var nextId = 0
 
+    def emit(dense: Boolean, from: Int, until: Int): Unit = {
+      out += Snippet(rs(from).deviceId, nextId, dense, rs.slice(from, until))
+      nextId += 1
+    }
+
+    /** Whether a sampling hole larger than `sessionGap` precedes record k. */
+    def hole(k: Int): Boolean = rs(k).ts - rs(k - 1).ts > sessionGap
+
     def regionOf(r: CleanRecord): String =
       dsm.regionAtSnapped(r.point).map(_.id).getOrElse("?")
 
-    /** Flush a run of movement records, splitting at region transitions. */
-    def flushMove(buf: Seq[CleanRecord]): Unit = {
-      if (buf.isEmpty) return
-      val region = buf.iterator.map(regionOf).toArray
-      var runStart = 0
-      var i = 1
-      while (i <= buf.length) {
-        if (i == buf.length || region(i) != region(runStart)) {
-          out += Snippet(buf.head.deviceId, nextId, dense = false, buf.slice(runStart, i))
-          nextId += 1
-          runStart = i
-        }
-        i += 1
+    /** Emit the movement run rs(from until until), split at region transitions. */
+    def flushMove(from: Int, until: Int): Unit = if (from < until) {
+      var runStart = from
+      var runRegion = regionOf(rs(from))
+      for (k <- from + 1 until until) {
+        val region = regionOf(rs(k))
+        if (region != runRegion) { emit(dense = false, runStart, k); runStart = k; runRegion = region }
       }
+      emit(dense = false, runStart, until)
     }
 
-    // Sessions at sampling holes.
-    val sessions = Vector.newBuilder[IndexedSeq[CleanRecord]]
-    var sStart = 0
-    for (i <- 1 until rs.length) {
-      if (rs(i).ts - rs(i - 1).ts > sessionGap) { sessions += rs.slice(sStart, i); sStart = i }
-    }
-    sessions += rs.slice(sStart, rs.length)
-
-    for (sess <- sessions.result(); if sess.nonEmpty) {
-      val move = Vector.newBuilder[CleanRecord]
-      var i = 0
-      while (i < sess.length) {
-        // Greedily extend a window from i while it stays eps-dense on one floor.
-        var j = i
-        var bbox = Rect(sess(i).x, sess(i).y, sess(i).x, sess(i).y)
-        var ok = true
-        while (ok && j + 1 < sess.length) {
-          val c = sess(j + 1)
-          val grown = bbox.union(Rect(c.x, c.y, c.x, c.y))
-          if (c.floor == sess(i).floor &&
-              math.hypot(grown.width, grown.height) <= eps) { bbox = grown; j += 1 }
-          else ok = false
-        }
-        if (sess(j).ts - sess(i).ts >= minDur) {
-          flushMove(move.result()); move.clear()
-          out += Snippet(sess(i).deviceId, nextId, dense = true, sess.slice(i, j + 1))
-          nextId += 1
-          i = j + 1
-        } else {
-          move += sess(i)
-          i += 1
-        }
+    var moveStart = 0
+    var i = 0
+    while (i < rs.length) {
+      if (i > 0 && hole(i)) { flushMove(moveStart, i); moveStart = i }
+      // Greedily extend a window from i while it stays eps-dense on one floor.
+      var j = i
+      var bbox = Rect(rs(i).x, rs(i).y, rs(i).x, rs(i).y)
+      var ok = true
+      while (ok && j + 1 < rs.length) {
+        val c = rs(j + 1)
+        val grown = bbox.union(Rect(c.x, c.y, c.x, c.y))
+        if (!hole(j + 1) && c.floor == rs(i).floor &&
+            math.hypot(grown.width, grown.height) <= eps) { bbox = grown; j += 1 }
+        else ok = false
       }
-      flushMove(move.result()); move.clear()
+      if (rs(j).ts - rs(i).ts >= minDur) {
+        flushMove(moveStart, i)
+        emit(dense = true, i, j + 1)
+        i = j + 1
+        moveStart = i
+      } else i += 1
     }
+    flushMove(moveStart, rs.length)
     out.result()
   }
 }

@@ -11,16 +11,17 @@ import repro.ml.LogisticRegression
 /** Golden digests of the indoor hot path's consumers at SF=0.01 (50
   * devices, default seed): the simulator's ground truth, raw records and
   * gaps, the Cleaner's output, the Splitter's snippets, the Annotator's and
-  * the Complementor's semantics (also for a dirty feed with a hole in every
-  * device), and the Table 1 scenario. Doubles enter the digest as raw
+  * the Complementor's semantics (the Cleaner's and the semantics also for a
+  * dirty feed with a hole in every device), and the Table 1 scenario. Doubles enter the digest as raw
   * IEEE-754 bits, so any change in a floating-point term — not just a
   * visible one — changes the digest.
   *
   * The first four digests were recorded from the linear-scan `Dsm` that
   * preceded `Dsm.locate`/`route`, the semantics digests from the
   * collection-based `Features.of`, `SpatialMatcher.matchSnippet` and
-  * Annotator merge and the per-neighbour `mapPath` denominator; a refactor
-  * of those must reproduce them record for record.
+  * Annotator merge and the per-neighbour `mapPath` denominator, the dirty
+  * feed's cleaned records from the nested-branch `Cleaner.cleanDevice`; a
+  * refactor of those must reproduce them record for record.
   */
 class HotPathGoldenSpec extends AnyFunSuite {
 
@@ -118,6 +119,14 @@ class HotPathGoldenSpec extends AnyFunSuite {
       "be5e74167c535a07c09307fdfe94368679f78143b055133409b3e8702ae66daa")
     assert(digest(out => complemented.foreach(writeSemantics(out, _))) ==
       "a99447e0b21b1a3fe952112b71b3b986cbe1aba62d0ef416e3c240a37489799f")
+  }
+
+  test("cleaned records of a dirty feed match the golden digest") {
+    val cleaned = (0 until dirtyCfg.nDevices)
+      .map(i => Cleaner.cleanDevice(dsm, SynthIndoor.simulate(dsm, dirtyCfg, i).raw))
+    Seq("floor", "reanchor", "interp").foreach(k => assert(cleaned.exists(_.exists(_.repair == k)), k))
+    assert(digest(out => cleaned.foreach(writeClean(out, _))) ==
+      "60d1dc954a230147f3a69ab4d6173e596042ce932b7950721c0d0bbbba875277")
   }
 
   test("annotated and complemented semantics of a dirty feed match the golden digests") {
