@@ -27,8 +27,6 @@ class AnnotationBench extends BenchBase {
       .filter(s => !trainDevs.contains(s.deviceId)).cache()
     val aT = Metrics.agreement(spark, trips, evalTruthDs)
     val aB = Metrics.agreement(spark, base, evalTruthDs)
-    val prfT = Metrics.eventPrf(spark, trips, evalTruthDs)
-    val prfB = Metrics.eventPrf(spark, base, evalTruthDs)
 
     banner("T3: Annotation quality (SF=0.1, per-second scoring)")
     println(f"${"metric"}%-28s ${"TRIPS"}%10s ${"StopMove"}%10s")
@@ -37,17 +35,17 @@ class AnnotationBench extends BenchBase {
     println(f"${"region accuracy"}%-28s ${aT.regionAccuracy}%10.3f ${aB.regionAccuracy}%10.3f")
     println(f"${"event+region accuracy"}%-28s ${aT.bothAccuracy}%10.3f ${aB.bothAccuracy}%10.3f")
     Seq(Stay, PassBy).foreach { e =>
-      val (pt, rt, ft) = prfT(e); val (pb, rb, fb) = prfB(e)
+      val (pt, rt, ft) = aT.prf(e); val (pb, rb, fb) = aB.prf(e)
       println(f"${s"$e P/R/F1"}%-28s ${f"$pt%.2f/$rt%.2f/$ft%.2f"}%16s ${f"$pb%.2f/$rb%.2f/$fb%.2f"}%16s")
     }
 
-    def scores(a: Metrics.Agreement, prf: Map[String, (Double, Double, Double)]) = Map(
+    def scores(a: Metrics.Agreement) = Map(
       "truth_s" -> a.truthSeconds, "covered_s" -> a.coveredSeconds, "event_ok_s" -> a.eventCorrect,
       "region_ok_s" -> a.regionCorrect, "both_ok_s" -> a.bothCorrect,
       "coverage" -> a.coverage, "event_acc" -> a.eventAccuracy, "region_acc" -> a.regionAccuracy,
       "both_acc" -> a.bothAccuracy,
-      "prf" -> prf.map { case (e, (p, r, f)) => e -> Seq(p, r, f) })
-    QualityLog.record("T3", "trips" -> scores(aT, prfT), "stop_move" -> scores(aB, prfB))
+      "prf" -> a.prf.map { case (e, (p, r, f)) => e -> Seq(p, r, f) })
+    QualityLog.record("T3", "trips" -> scores(aT), "stop_move" -> scores(aB))
 
     // Shape: TRIPS wins on region accuracy (topology-aware matching) and
     // combined accuracy; the learned model beats velocity thresholding on
@@ -55,7 +53,7 @@ class AnnotationBench extends BenchBase {
     assert(aT.regionAccuracy > aB.regionAccuracy,
       s"region: TRIPS ${aT.regionAccuracy} vs base ${aB.regionAccuracy}")
     assert(aT.bothAccuracy > aB.bothAccuracy)
-    assert(prfT(Stay)._3 > prfB(Stay)._3 - 0.05)
+    assert(aT.prf(Stay)._3 > aB.prf(Stay)._3 - 0.05)
 
     trips.unpersist(); base.unpersist(); evalRaw.unpersist(); evalTruthDs.unpersist()
   }

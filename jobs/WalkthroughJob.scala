@@ -82,5 +82,7 @@ object WalkthroughJob {
       .select("x", "y").collect().map(r => (r.getDouble(0), r.getDouble(1), '*')).toSeq
     println(AsciiMap.render(dsm, 2, marks))
     result.unpersist()
+    selected.unpersist()
+    raw.unpersist()
   }
 }

@@ -64,31 +64,33 @@ object DataSelector {
     }
     val rows = recordCond.foldLeft(raw)((df, c) => df.filter(c))
 
-    val seqAggs: Seq[(Column, Column)] = rules.collect {
+    // Each sequence rule is a condition on aggregates of a device's
+    // record-filtered rows.
+    val seqConds: Seq[Column] = rules.collect {
       case SpatialRange(f, r) =>
-        (max(when(col("floor") === f &&
-                  col("x").between(r.xMin, r.xMax) &&
-                  col("y").between(r.yMin, r.yMax), 1).otherwise(0)),
-         col("agg") === 1)
+        max(when(col("floor") === f &&
+                 col("x").between(r.xMin, r.xMax) &&
+                 col("y").between(r.yMin, r.yMax), 1).otherwise(0)) === 1
       case MinDuration(s) =>
-        (max(col("ts")) - min(col("ts")), col("agg") >= s)
+        max(col("ts")) - min(col("ts")) >= s
       case MinFrequency(rpm) =>
-        // Average rate over the observed span; single-record sequences have
-        // no span and cannot meet a positive frequency bound.
-        (count(lit(1)).cast("double") / greatest(lit(1.0),
-           (max(col("ts")) - min(col("ts"))).cast("double") / 60.0),
-         col("agg") >= rpm)
+        // Average rate over the observed span, at least one minute long;
+        // a sequence with no span (one record, or all at one timestamp)
+        // has rate 0 and cannot meet a positive frequency bound.
+        val span = (max(col("ts")) - min(col("ts"))).cast("double")
+        when(span > 0, count(lit(1)).cast("double") / greatest(lit(1.0), span / 60.0))
+          .otherwise(0.0) >= rpm
       case PeriodicPattern(d) =>
-        (countDistinct(floor(col("ts") / 86400L)), col("agg") >= d)
+        countDistinct(floor(col("ts") / 86400L)) >= d
       case OperatingHours(o, c) =>
-        (min(when(secOfDay(col("ts")) >= o * 3600L && secOfDay(col("ts")) < c * 3600L, 1).otherwise(0)),
-         col("agg") === 1)
+        min(when(secOfDay(col("ts")) >= o * 3600L && secOfDay(col("ts")) < c * 3600L, 1)
+          .otherwise(0)) === 1
     }
-
-    seqAggs.zipWithIndex.foldLeft(rows) { case (df, ((agg, cond), i)) =>
-      val keep = rows.groupBy("deviceId").agg(agg.as("agg")).filter(cond)
-        .select(col("deviceId").as(s"__dev$i"))
-      df.join(keep, df("deviceId") === keep(s"__dev$i"), "left_semi")
+    if (seqConds.isEmpty) rows
+    else {
+      val keep = rows.groupBy("deviceId").agg(seqConds.reduce(_ && _).as("__keep"))
+        .filter(col("__keep")).select(col("deviceId").as("__dev"))
+      rows.join(keep, rows("deviceId") === keep("__dev"), "left_semi")
     }
   }
 }

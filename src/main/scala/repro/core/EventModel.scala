@@ -28,14 +28,13 @@ object EventModel {
     * order in its last bits, so the examples are stable-sorted by device
     * first: the model does not depend on how a Dataset of them was
     * partitioned. */
-  def train(examples: Seq[TrainingExample],
-            l2: Double = 1e-3, maxIter: Int = 800): EventModel = {
+  def train(examples: Seq[TrainingExample]): EventModel = {
     require(examples.nonEmpty, "no training examples designated")
     val sorted = examples.sortBy(_.deviceId)
     val xs = sorted.map(_.features)
     val ys = sorted.map(e => if (e.label == Stay) 1 else 0)
     require(ys.distinct.size == 2,
       "training set must contain both stay and pass-by segments")
-    EventModel(LogisticRegression.fit(xs, ys, l2 = l2, maxIter = maxIter))
+    EventModel(LogisticRegression.fit(xs, ys, l2 = 1e-3, maxIter = 800))
   }
 }

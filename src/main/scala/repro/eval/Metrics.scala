@@ -37,9 +37,12 @@ object Metrics {
     * @param eventCorrect   covered seconds with the right event
     * @param regionCorrect  covered seconds with the right region tag
     * @param bothCorrect    covered seconds with both right
+    * @param prf            per-event (precision, recall, F1) over covered
+    *                       seconds, for `stay` and `pass-by`
     */
   final case class Agreement(truthSeconds: Long, coveredSeconds: Long,
-                             eventCorrect: Long, regionCorrect: Long, bothCorrect: Long) {
+                             eventCorrect: Long, regionCorrect: Long, bothCorrect: Long,
+                             prf: Map[String, (Double, Double, Double)]) {
     def coverage: Double       = ratio(coveredSeconds, truthSeconds)
     def eventAccuracy: Double  = ratio(eventCorrect, coveredSeconds)
     def regionAccuracy: Double = ratio(regionCorrect, coveredSeconds)
@@ -47,51 +50,44 @@ object Metrics {
     private def ratio(a: Long, b: Long) = if (b == 0) 0.0 else a.toDouble / b
   }
 
-  /** Score predicted semantics against ground-truth semantics. */
+  /** [[perSecond]] of `sem` with `event` and `tag` renamed to
+    * `<side>_event` and `<side>_tag`. */
+  private def perSecondSide(sem: Dataset[Semantic], side: String): DataFrame =
+    perSecond(sem.toDF()).select(col("device_id"), col("sec"),
+      col("event").as(s"${side}_event"), col("tag").as(s"${side}_tag"), col("source"))
+
+  /** Score predicted semantics against ground-truth semantics with one
+    * aggregate over the truth-left-join-prediction seconds. The per-event
+    * (tp, fp, fn) conditions each compare `p_event`, which is null on an
+    * uncovered second, so `count(when(...))` counts covered seconds only. */
   def agreement(spark: SparkSession, pred: Dataset[Semantic],
                 truth: Dataset[Semantic]): Agreement = {
-    val p = perSecond(pred.toDF()).withColumnRenamed("event", "p_event")
-      .withColumnRenamed("tag", "p_tag").drop("source")
-    val t = perSecond(truth.toDF()).withColumnRenamed("event", "t_event")
-      .withColumnRenamed("tag", "t_tag").drop("source")
+    val p = perSecondSide(pred, "p")
+    val t = perSecondSide(truth, "t")
     val j = t.join(p, Seq("device_id", "sec"), "left")
-    val row = j.agg(
-      count(lit(1)).as("truth"),
-      sum(when(col("p_event").isNotNull, 1L).otherwise(0L)).as("covered"),
-      sum(when(col("p_event") === col("t_event"), 1L).otherwise(0L)).as("event_ok"),
-      sum(when(col("p_tag") === col("t_tag"), 1L).otherwise(0L)).as("region_ok"),
-      sum(when(col("p_event") === col("t_event") && col("p_tag") === col("t_tag"), 1L)
-        .otherwise(0L)).as("both_ok")
-    ).head()
-    Agreement(row.getLong(0), row.getLong(1), row.getLong(2), row.getLong(3), row.getLong(4))
-  }
-
-  /** Per-event precision/recall/F1 over covered seconds. Returns rows of
-    * (event, precision, recall, f1). */
-  def eventPrf(spark: SparkSession, pred: Dataset[Semantic],
-               truth: Dataset[Semantic]): Map[String, (Double, Double, Double)] = {
-    val p = perSecond(pred.toDF()).withColumnRenamed("event", "p_event")
-      .select("device_id", "sec", "p_event")
-    val t = perSecond(truth.toDF()).withColumnRenamed("event", "t_event")
-      .select("device_id", "sec", "t_event")
-    val j = t.join(p, Seq("device_id", "sec"), "inner")
-    // One aggregation: (tp, fp, fn) per event as conditional counts.
     val events = Seq(Stay, PassBy)
-    val counts = events.flatMap { e =>
+    val perEvent = events.flatMap { e =>
       Seq(col("t_event") === e && col("p_event") === e,
           col("t_event") =!= e && col("p_event") === e,
           col("t_event") === e && col("p_event") =!= e)
     }.map(c => count(when(c, 1)))
-    val row = j.agg(counts.head, counts.tail: _*).head()
-    events.zipWithIndex.map { case (e, k) =>
-      val tp = row.getLong(3 * k).toDouble
-      val fp = row.getLong(3 * k + 1).toDouble
-      val fn = row.getLong(3 * k + 2).toDouble
+    val seconds = Seq(
+      sum(when(col("p_event").isNotNull, 1L).otherwise(0L)).as("covered"),
+      sum(when(col("p_event") === col("t_event"), 1L).otherwise(0L)).as("event_ok"),
+      sum(when(col("p_tag") === col("t_tag"), 1L).otherwise(0L)).as("region_ok"),
+      sum(when(col("p_event") === col("t_event") && col("p_tag") === col("t_tag"), 1L)
+        .otherwise(0L)).as("both_ok"))
+    val row = j.agg(count(lit(1)).as("truth"), seconds ++ perEvent: _*).head()
+    val prf = events.zipWithIndex.map { case (e, k) =>
+      val tp = row.getLong(5 + 3 * k).toDouble
+      val fp = row.getLong(6 + 3 * k).toDouble
+      val fn = row.getLong(7 + 3 * k).toDouble
       val prec = if (tp + fp == 0) 0.0 else tp / (tp + fp)
       val rec  = if (tp + fn == 0) 0.0 else tp / (tp + fn)
       val f1   = if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
       e -> ((prec, rec, f1))
     }.toMap
+    Agreement(row.getLong(0), row.getLong(1), row.getLong(2), row.getLong(3), row.getLong(4), prf)
   }
 
   /** Positioning-error statistics of a (cleaned or raw) record set against
@@ -127,14 +123,13 @@ object Metrics {
   def gapRecovery(spark: SparkSession, pred: Dataset[Semantic],
                   truth: Dataset[Semantic],
                   gaps: DataFrame /* device_id, g_start, g_end */): GapRecovery = {
-    val t = perSecond(truth.toDF()).withColumnRenamed("tag", "t_tag")
-      .select("device_id", "sec", "t_tag")
+    val t = perSecondSide(truth, "t").select("device_id", "sec", "t_tag")
     val inGap = t.join(gaps,
       t("device_id") === gaps("device_id") &&
         t("sec").between(col("g_start"), col("g_end")), "inner")
       .select(t("device_id"), col("sec"), col("t_tag"))
-    val p = perSecond(pred.toDF()).filter(col("source") === "inferred")
-      .withColumnRenamed("tag", "p_tag").select("device_id", "sec", "p_tag")
+    val p = perSecondSide(pred, "p").filter(col("source") === "inferred")
+      .select("device_id", "sec", "p_tag")
     val j = inGap.join(p, Seq("device_id", "sec"), "left")
     val row = j.agg(
       count(lit(1)),

@@ -70,14 +70,18 @@ object LogisticRegression {
     nll / n + l2 * m.w.map(v => v * v).sum / 2
   }
 
+  /** Gradient-descent step size. */
+  private val LearningRate = 0.5
+  /** Stop when a 10-iteration loss check improves by less than this. */
+  private val Tolerance = 1e-7
+
   /** Fit by full-batch gradient descent.
     *
     * @param xs raw (unstandardized) feature vectors
     * @param ys labels in {0, 1}
     */
   def fit(xs: Seq[Array[Double]], ys: Seq[Int],
-          l2: Double = 1e-3, lr: Double = 0.5, maxIter: Int = 500,
-          tol: Double = 1e-7): Model = {
+          l2: Double = 1e-3, maxIter: Int = 500): Model = {
     require(xs.nonEmpty && xs.size == ys.size, "bad training set")
     require(ys.forall(y => y == 0 || y == 1), "labels must be 0/1")
     val standardizer = Standardizer.fit(xs)
@@ -104,11 +108,11 @@ object LogisticRegression {
         i += 1
       }
       var j = 0
-      while (j < d) { w(j) -= lr * (gw(j) / n + l2 * w(j)); j += 1 }
-      b -= lr * gb / n
+      while (j < d) { w(j) -= LearningRate * (gw(j) / n + l2 * w(j)); j += 1 }
+      b -= LearningRate * gb / n
       if (iter % 10 == 0) {
         val cur = loss(Model(standardizer, w, b), xs, ys, l2)
-        if (prevLoss - cur < tol) done = true
+        if (prevLoss - cur < Tolerance) done = true
         prevLoss = cur
       }
       iter += 1

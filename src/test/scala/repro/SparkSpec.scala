@@ -9,9 +9,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Automatic broadcast joins are disabled, so every DataFrame join
-  * here and in the benches (the point-in-region join of `SpatialMatcher`,
-  * `Timeline`'s semantics-to-records join, the per-second scoring joins of
-  * `Metrics`) is planned as a shuffle join on its equality keys, whatever
+  * here and in the benches (`Timeline`'s semantics-to-records join, the
+  * per-second scoring joins of `Metrics`, the Data Selector's semi-join)
+  * is planned as a shuffle join on its equality keys, whatever
   * the size of its inputs: the tests' tiny tables check the plan that the
   * benches' SF=0.1 tables run, and the DuckDB oracle checks its result.
   * `Table1Demo` sets the same. Explicit `sparkContext.broadcast` values

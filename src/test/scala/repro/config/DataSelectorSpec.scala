@@ -103,6 +103,15 @@ class DataSelectorSpec extends SparkSpec {
     assert(devices(loose).contains("aa:01"))
   }
 
+  test("positioning frequency rule rejects a one-record sequence") {
+    import spark.implicits._
+    // A single record has no span, so no rate: it must not read as one
+    // record per minute.
+    val withSingle = raw.union(Seq(PosRecord("ee:05", WeekStart + 12 * 3600, 1, 1, 0)).toDF())
+    val out = DataSelector.select(withSingle, Seq(MinFrequency(0.5)))
+    assert(devices(out) == Set("bb:02", "dd:04"))
+  }
+
   test("periodic pattern requires distinct days") {
     val out = DataSelector.select(raw, Seq(PeriodicPattern(2)))
     assert(devices(out) == Set("aa:01"))
@@ -120,6 +129,27 @@ class DataSelectorSpec extends SparkSpec {
     val out = DataSelector.select(raw,
       Seq(DeviceIdPattern("^(aa|bb).*"), MinDuration(1500), SpatialRange(0, Rect(0, 0, 100, 40))))
     assert(devices(out) == Set("aa:01"))
+  }
+
+  test("sequence rules run as one aggregate and one semi-join") {
+    import org.apache.spark.sql.catalyst.plans.LeftSemi
+    import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
+    val out = DataSelector.select(raw,
+      Seq(SpatialRange(0, Rect(0, 0, 100, 40)), MinDuration(600), OperatingHours(10, 22)))
+    assert(devices(out) == Set("aa:01"))
+    val plan = out.queryExecution.optimizedPlan
+    assert(plan.collect { case a: Aggregate => a }.size == 1)
+    assert(plan.collect { case j: Join if j.joinType == LeftSemi => j }.size == 1)
+  }
+
+  test("a device passes all sequence rules at once iff it passes each alone") {
+    // PeriodicPattern's distinct count shares the one aggregate with the
+    // other rules' plain aggregates.
+    val rules = Seq(SpatialRange(0, Rect(0, 0, 100, 40)), MinDuration(600),
+      MinFrequency(0.1), PeriodicPattern(2), OperatingHours(10, 22))
+    val each = rules.map(r => devices(DataSelector.select(raw, Seq(r))))
+    assert(devices(DataSelector.select(raw, rules)) == each.reduce(_ intersect _))
+    assert(each.reduce(_ intersect _) == Set("aa:01"))
   }
 
   test("contradictory rules produce an empty selection") {

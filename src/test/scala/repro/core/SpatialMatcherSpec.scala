@@ -1,13 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Schema._
-import repro.gen.Mall
 import repro.indoor.Geometry._
 import repro.indoor.{Dsm, Door, Region}
 
-class SpatialMatcherSpec extends SparkSpec {
+class SpatialMatcherSpec extends AnyFunSuite {
 
   private val dsm = new Dsm(
     IndexedSeq(
@@ -47,44 +45,5 @@ class SpatialMatcherSpec extends SparkSpec {
   test("matchSnippet on a floor without regions is None") {
     val s = Snippet("dev", 0, dense = true, Seq(rec(0, 5, 5, f = 99), rec(5, 5, 5, f = 99)))
     assert(SpatialMatcher.matchSnippet(dsm, s).isEmpty)
-  }
-
-  test("regionsDf carries the full DSM region set") {
-    val df = SpatialMatcher.regionsDf(spark, dsm)
-    assert(df.count() == 3)
-    assert(df.columns.toSeq == Seq("region_id", "region_floor", "x_min", "y_min",
-      "x_max", "y_max", "tag", "kind"))
-  }
-
-  test("record-level join matches DuckDB point-in-region semantics") {
-    import spark.implicits._
-    val rng = new scala.util.Random(4)
-    val records = (0 until 300).map(i =>
-      PosRecord(s"d${i % 5}", i.toLong, rng.nextDouble() * 25 - 2,
-        rng.nextDouble() * 12 - 1, rng.nextInt(2))).toDF()
-    val regions = SpatialMatcher.regionsDf(spark, dsm)
-    val out = SpatialMatcher.matchRecords(records, regions)
-      .groupBy("region_id").agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(out,
-      """SELECT g.region_id, count(*) AS n
-        |FROM records r JOIN regions g
-        |  ON CAST(r.floor AS INT) = CAST(g.region_floor AS INT)
-        | AND CAST(r.x AS DOUBLE) BETWEEN CAST(g.x_min AS DOUBLE) AND CAST(g.x_max AS DOUBLE)
-        | AND CAST(r.y AS DOUBLE) BETWEEN CAST(g.y_min AS DOUBLE) AND CAST(g.y_max AS DOUBLE)
-        |GROUP BY g.region_id""".stripMargin,
-      "records" -> records, "regions" -> regions)
-  }
-
-  test("mall-scale join: every in-wall record matches exactly one region or a boundary set") {
-    import spark.implicits._
-    val mall = Mall.dsm()
-    val rng = new scala.util.Random(6)
-    val records = (0 until 500).map { i =>
-      PosRecord("d", i.toLong, rng.nextDouble() * 99.9 + 0.05,
-        rng.nextDouble() * 39.9 + 0.05, rng.nextInt(7))
-    }.toDF()
-    val joined = SpatialMatcher.matchRecords(records, SpatialMatcher.regionsDf(spark, mall))
-    // The mall tiles each floor, so every record matches at least one region.
-    assert(joined.select("ts").distinct().count() == 500)
   }
 }

@@ -55,17 +55,27 @@ class MetricsSpec extends SparkSpec {
     assert(a.coverage == 0.0 && a.eventAccuracy == 0.0)
   }
 
-  test("eventPrf computes per-class precision and recall") {
+  test("agreement computes per-class precision and recall") {
     import spark.implicits._
     val truth = Seq(sem("d", 0, Stay, "A", 0, 59), sem("d", 1, PassBy, "A", 60, 99)).toDS()
     val pred = Seq(sem("d", 0, Stay, "A", 0, 79), sem("d", 1, PassBy, "A", 80, 99)).toDS()
-    val prf = Metrics.eventPrf(spark, pred, truth)
+    val prf = Metrics.agreement(spark, pred, truth).prf
     val (pStay, rStay, _) = prf(Stay)
     val (pPass, rPass, _) = prf(PassBy)
     assert(math.abs(pStay - 60.0 / 80.0) < 1e-9)
     assert(math.abs(rStay - 1.0) < 1e-9)
     assert(math.abs(pPass - 1.0) < 1e-9)
     assert(math.abs(rPass - 20.0 / 40.0) < 1e-9)
+  }
+
+  test("per-class precision and recall count covered seconds only") {
+    import spark.implicits._
+    val truth = Seq(sem("d", 0, Stay, "A", 0, 99)).toDS()
+    val pred = Seq(sem("d", 0, Stay, "A", 0, 49)).toDS() // seconds 50..99 uncovered
+    val a = Metrics.agreement(spark, pred, truth)
+    assert(a.coveredSeconds == 50)
+    assert(a.prf(Stay) == ((1.0, 1.0, 1.0)))
+    assert(a.prf(PassBy) == ((0.0, 0.0, 0.0)))
   }
 
   test("posError measures noise against the truth") {
