@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.core.PerDevice
+import repro.core.{Cleaner, PerDevice}
 import repro.core.Schema._
 import repro.indoor.Dsm
 import repro.indoor.Geometry._
@@ -30,11 +30,13 @@ object StopMove {
   /** Minimum stop duration (s). */
   val MinStopDur = 60L
 
-  /** Segment one device's raw records (sorted by ts) into stop/move
-    * semantics with nearest-centroid region annotation. */
+  /** Segment one device's raw records (in any order) into stop/move
+    * semantics with nearest-centroid region annotation. The records are
+    * sorted in the Cleaner's total order, so records that share a
+    * timestamp give the same speeds in any input order. */
   def annotateDevice(dsm: Dsm, records: Seq[PosRecord]): Vector[Semantic] = {
     if (records.isEmpty) return Vector.empty
-    val rs = records.sortBy(_.ts).toVector
+    val rs = records.sorted(Cleaner.ByTsThenFields).toVector
 
     def nearestByCentroid(p: PosRecord): (String, String) = {
       val candidates = dsm.regionsOnFloor(p.floor)
@@ -88,6 +90,6 @@ object StopMove {
   def annotate(spark: SparkSession, raw: Dataset[PosRecord],
                dsm: Broadcast[Dsm]): Dataset[Semantic] = {
     import spark.implicits._
-    PerDevice.flatMap(raw)(_.deviceId)(annotateDevice(dsm.value, _))
+    PerDevice.tracks(raw).flatMap { case (_, rs) => annotateDevice(dsm.value, rs) }.toDS()
   }
 }

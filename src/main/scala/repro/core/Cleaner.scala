@@ -53,8 +53,9 @@ object Cleaner {
     * location interpolation before clamping to the last valid location. */
   val Lookahead = 6
 
-  /** Records by timestamp; ties (duplicate timestamps) by floor, x, y. */
-  private object ByTsThenFields extends Ordering[PosRecord] {
+  /** Records by timestamp; ties (duplicate timestamps) by floor, x, y. A
+    * total order: records it ranks equal are equal in every field. */
+  private[repro] object ByTsThenFields extends Ordering[PosRecord] {
     def compare(a: PosRecord, b: PosRecord): Int = {
       var c = java.lang.Long.compare(a.ts, b.ts)
       if (c == 0) c = Integer.compare(a.floor, b.floor)
@@ -162,11 +163,12 @@ object Cleaner {
   }
 
   /** Clean all devices' records; device-parallel through its own
-    * shuffle on the `deviceId` column. */
+    * [[PerDevice.tracks]] shuffle, so each device's records are grouped as
+    * in `Translator.translate`. */
   def clean(spark: SparkSession, raw: Dataset[PosRecord], dsm: Broadcast[Dsm],
             maxSpeed: Double = DefaultMaxSpeed): Dataset[CleanRecord] = {
     import spark.implicits._
-    PerDevice.flatMap(raw)(_.deviceId)(cleanDevice(dsm.value, _, maxSpeed))
+    PerDevice.tracks(raw).flatMap { case (_, rs) => cleanDevice(dsm.value, rs, maxSpeed) }.toDS()
   }
 
   /** Consecutive-pair speeds per device using straight-line (Euclidean)

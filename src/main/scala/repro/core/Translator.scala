@@ -13,14 +13,15 @@ import repro.indoor.Dsm
   * generates the corresponding mobility semantics sequence", processed
   * through Cleaning → Annotation → Complementing "without manual
   * interventions". Each layer is a per-device function; only the knowledge
-  * prior needs to see every device. So a translation is one shuffle on
-  * the `deviceId` column into one partition per core; each partition
-  * groups its rows by device, cleans and annotates each device, and keeps
-  * the result as one compact [[SemanticsBlock]]. The knowledge is merged
-  * from the blocks' per-device summaries, and the complement runs over the
-  * same blocks, with no further shuffle. The layers' own Spark entry
-  * points (`Cleaner.clean`, `Annotator.annotate`, ...) stay available for
-  * the Viewer to trace intermediate data.
+  * prior needs to see every device. So a translation is one shuffle, of
+  * [[PerDevice.tracks]]: each input partition sends one columnar track per
+  * device it holds, into one partition per core. Each partition cleans and
+  * annotates its devices and keeps the result as one compact
+  * [[SemanticsBlock]]. The knowledge is merged from the blocks' per-device
+  * summaries, and the complement runs over the same blocks, with no
+  * further shuffle. The layers' own Spark entry points (`Cleaner.clean`,
+  * `Annotator.annotate`, ...) stay available for the Viewer to trace
+  * intermediate data.
   */
 object Translator {
 
@@ -50,8 +51,8 @@ object Translator {
   }
 
   /** Translate the selected raw positioning sequences into mobility
-    * semantics sequences. The pass shuffles on the `deviceId` column into
-    * one partition per core, cleans and annotates each device and caches
+    * semantics sequences. The pass groups the records by device with
+    * [[PerDevice.tracks]], cleans and annotates each device and caches
     * one [[SemanticsBlock]] per partition, named "translate: annotated
     * blocks" in Spark's storage status. The `collect` of the blocks'
     * knowledge summaries is the job that fills that cache; it and the
@@ -69,9 +70,9 @@ object Translator {
     val caller = sc.getLocalProperty(JobDescription)
     sc.setJobDescription("translate: pass + knowledge")
     val (blocks, km) = try {
-      val blocks = PerDevice.shuffle(raw).rdd.mapPartitions { it =>
+      val blocks = PerDevice.tracks(raw).mapPartitions { it =>
         val d = b.value
-        Iterator(SemanticsBlock.encode(d, PerDevice.groups(it)(_.deviceId).map { case (id, rs) =>
+        Iterator(SemanticsBlock.encode(d, it.map { case (id, rs) =>
           id -> Annotator.annotateDevice(d, model, Cleaner.cleanDevice(d, rs, cfg.maxSpeed), cfg.annotator)
         }))
       }.setName("translate: annotated blocks").cache()

@@ -7,8 +7,8 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Automatic broadcast joins are disabled, so every DataFrame join
+  * SPARK_DRIVER_MEM, or, when it is unset, to half of MemTotal clamped to
+  * 2–8 GiB. Automatic broadcast joins are disabled, so every DataFrame join
   * here and in the benches (`Timeline`'s semantics-to-records join, the
   * per-second scoring joins of `Metrics`, the Data Selector's semi-join)
   * is planned as a shuffle join on its equality keys, whatever

@@ -60,6 +60,16 @@ class StopMoveSpec extends SparkSpec {
     assert(!out.exists(s => s.tStart > 150 && s.tEnd < 2000))
   }
 
+  test("records that share a timestamp give the same segments in any row order") {
+    // At ts 10 the device reads both (0,0) and (30,40): in one order the
+    // later speeds are 0 / 50 / 0 m/s, in the other 5 / 50 / 5.
+    val at0 = rec(0, 0, 0); val at20 = rec(20, 30, 40)
+    val a = rec(10, 0, 0); val b = rec(10, 30, 40)
+    val out = StopMove.annotateDevice(dsm, Seq(at0, a, b, at20))
+    assert(StopMove.annotateDevice(dsm, Seq(at0, b, a, at20)) == out)
+    assert(StopMove.annotateDevice(dsm, Seq(at20, b, at0, a)) == out)
+  }
+
   test("empty input") {
     assert(StopMove.annotateDevice(dsm, Seq.empty).isEmpty)
   }

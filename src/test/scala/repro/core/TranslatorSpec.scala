@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.ShuffleDependency
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.config.EventEditor
 import repro.core.Composed.ordered
@@ -10,6 +10,8 @@ import repro.core.Schema._
 import repro.eval.Metrics
 import repro.gen.{Mall, SynthIndoor}
 import repro.gen.SynthIndoor.SimConfig
+import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicLong
 
 /** End-to-end integration: simulate a small mall population, train the
   * event model on half the devices, translate the other half, and score
@@ -130,17 +132,62 @@ class TranslatorSpec extends SparkSpec {
 
   test("PerDevice groups each device's rows once, in sorted id order, at any partition count") {
     val raw = evalRaw.collect().toSeq.groupBy(_.deviceId)
+    def check(parts: Array[Vector[(String, Vector[PosRecord])]], what: String): Unit = {
+      parts.foreach(p => assert(p.map(_._1) == p.map(_._1).sorted, s"device order, $what"))
+      val grouped = parts.toSeq.flatten
+      assert(grouped.map(_._1).sorted == raw.keys.toSeq.sorted, s"each device once, $what")
+      grouped.foreach { case (id, rs) =>
+        assert(rs.sortBy(_.toString) == raw(id).sortBy(_.toString), s"rows of $id, $what")
+      }
+    }
     Seq(1, 7).foreach { n =>
       val parts = PerDevice.shuffle(evalRaw, n).rdd
         .mapPartitions(it => Iterator(PerDevice.groups(it)(_.deviceId).toVector)).collect()
       assert(parts.length == n)
-      parts.foreach(p => assert(p.map(_._1) == p.map(_._1).sorted, s"device order at $n partitions"))
-      val grouped = parts.toSeq.flatten
-      assert(grouped.map(_._1).sorted == raw.keys.toSeq.sorted, s"each device once at $n partitions")
-      grouped.foreach { case (id, rs) =>
-        assert(rs.sortBy(_.toString) == raw(id).sortBy(_.toString), s"rows of $id at $n partitions")
-      }
+      check(parts, s"shuffle into $n partitions")
+      // Round-robin input partitions, so a device's rows sit in several of them.
+      val input = evalRaw.repartition(n)
+      if (n > 1) assert(input.rdd.mapPartitions(_.map(_.deviceId).toSet.iterator).countByValue().values.exists(_ > 1))
+      val tracks = PerDevice.tracks(input).mapPartitions(it => Iterator(it.toVector)).collect()
+      check(tracks, s"tracks of $n input partitions")
+      assert(tracks.length == spark.sparkContext.defaultParallelism)
     }
+  }
+
+  test("the pass shuffles one record per device of each input partition") {
+    import spark.implicits._
+    val (_, _, model) = fixture
+    val sc = spark.sparkContext
+    // Rows in a fixed random order over 7 partitions, read with no shuffle
+    // of their own, so each device spans several input partitions.
+    val input = sc.parallelize(new scala.util.Random(7).shuffle(evalRaw.collect().toSeq), 7).toDS()
+    val pairs = input.rdd.mapPartitionsWithIndex((i, it) => it.map(r => (i, r.deviceId))).distinct().count()
+    assert(pairs > 7 && pairs < input.count())
+    val passStages = ConcurrentHashMap.newKeySet[Int]()
+    val written = new AtomicLong()
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        e.properties.getProperty("spark.job.description") match {
+          case "translate: pass + knowledge" => e.stageIds.foreach(passStages.add)
+          case "after the pass"              => drained.countDown()
+          case _                             => ()
+        }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (passStages.contains(e.stageId) && e.taskMetrics != null)
+          written.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    }
+    sc.addSparkListener(listener)
+    try {
+      val r = Translator.translate(spark, input, dsm, model)
+      // The listener bus is asynchronous: once it delivers a job started
+      // after the pass, it has delivered every event of the pass.
+      sc.setJobDescription("after the pass")
+      try sc.parallelize(Seq(1)).count() finally sc.setJobDescription(null)
+      assert(drained.await(10, TimeUnit.SECONDS))
+      assert(written.get() == pairs)
+      r.unpersist()
+    } finally sc.removeSparkListener(listener)
   }
 
   test("translate shuffles once") {
