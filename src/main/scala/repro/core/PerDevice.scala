@@ -27,7 +27,8 @@ import scala.collection.mutable
   * receives by device in a hash map and visits the devices in sorted id
   * order, so its output does not depend on the order rows arrive in.
   * Within a device, rows keep no particular order: every per-device
-  * function sorts its own input with a total order.
+  * function sorts its own input in an order without ties, so the order
+  * rows arrive in cannot change its output.
   */
 private[repro] object PerDevice {
 
