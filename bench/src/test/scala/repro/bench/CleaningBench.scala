@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.functions._
+import repro.SqlReference
 import repro.core.Cleaner
 import repro.eval.Metrics
 import repro.gen.SynthIndoor
@@ -26,13 +27,13 @@ class CleaningBench extends BenchBase {
 
     val rawErr = Metrics.posError(spark, raw.toDF(), gt)
     val cleanErr = Metrics.posError(spark, cleaned.toDF().drop("repair"), gt)
-    val repairs = Cleaner.repairStats(spark, cleaned).collect()
+    val repairs = SqlReference.repairStats(cleaned).collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
 
     // Euclidean speed-violation counts before/after (same DSM-free metric
     // on both sides, so the comparison is fair).
     def violations(df: org.apache.spark.sql.DataFrame): Long =
-      Cleaner.euclidSpeeds(df).filter(col("euclid_speed") > 3.0).count()
+      SqlReference.euclidSpeeds(df).filter(col("euclid_speed") > 3.0).count()
     val vRaw = violations(raw.toDF())
     val vClean = violations(cleaned.toDF().drop("repair"))
 

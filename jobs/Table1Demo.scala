@@ -26,8 +26,7 @@ object Table1Demo {
 
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("trips-table1").config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+      .appName("trips-table1").getOrCreate()
     try {
       println(run(spark))
     } finally spark.stop()

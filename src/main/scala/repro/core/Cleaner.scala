@@ -1,9 +1,7 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.Schema._
 import repro.indoor.Dsm
 import repro.indoor.Dsm.Located
@@ -170,31 +168,4 @@ object Cleaner {
     import spark.implicits._
     PerDevice.tracks(raw).flatMap { case (_, rs) => cleanDevice(dsm.value, rs, maxSpeed) }.toDS()
   }
-
-  /** Consecutive-pair speeds per device using straight-line (Euclidean)
-    * displacement — the DSM-free lower bound of the walking speed. Pure
-    * window-function SQL, so the DuckDB oracle can verify it. Columns:
-    * device_id, ts, prev_ts, euclid_speed (null for each device's first
-    * record or zero/negative dt). Intra-floor only: a floor change makes
-    * planar displacement meaningless, so speed is null there too.
-    */
-  def euclidSpeeds(raw: DataFrame): DataFrame = {
-    val w = Window.partitionBy("deviceId").orderBy("ts", "floor", "x", "y")
-    raw
-      .withColumn("prev_ts", lag("ts", 1).over(w))
-      .withColumn("prev_x", lag("x", 1).over(w))
-      .withColumn("prev_y", lag("y", 1).over(w))
-      .withColumn("prev_floor", lag("floor", 1).over(w))
-      .withColumn("euclid_speed",
-        when(col("prev_ts").isNotNull && col("ts") > col("prev_ts") &&
-             col("floor") === col("prev_floor"),
-          sqrt(pow(col("x") - col("prev_x"), 2) + pow(col("y") - col("prev_y"), 2)) /
-            (col("ts") - col("prev_ts")))
-          .otherwise(lit(null)))
-      .select(col("deviceId").as("device_id"), col("ts"), col("prev_ts"), col("euclid_speed"))
-  }
-
-  /** Cleaning-quality statistics for T2: per-kind repair counts. */
-  def repairStats(spark: SparkSession, cleaned: Dataset[CleanRecord]): DataFrame =
-    cleaned.toDF().groupBy("repair").agg(count(lit(1)).as("n")).orderBy("repair")
 }

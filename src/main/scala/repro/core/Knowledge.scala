@@ -1,10 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import repro.core.Schema._
-import repro.indoor.Dsm
 
 /** Knowledge construction (Complementing layer, step 1).
   *
@@ -14,8 +11,8 @@ import repro.indoor.Dsm
   * [[Summary]] (transition counts, per-region dwell sums and event counts);
   * summaries merge by addition, in any order, into a serializable
   * [[KnowledgeModel]] that the Complementor broadcasts for per-gap MAP
-  * inference. [[transitionCounts]] and [[regionStats]] are the same
-  * aggregates in SQL, checked against DuckDB.
+  * inference. The test tree's `SqlReference.transitionCounts` and
+  * `regionStats` are the same aggregates in SQL, checked against DuckDB.
   */
 object Knowledge {
 
@@ -57,27 +54,6 @@ object Knowledge {
       if (stayShare.getOrElse(regionId, 0.0) >= 0.5) Stay else PassBy
   }
 
-  /** Transition counts between consecutive semantics, as a DataFrame
-    * (from_region, to_region, n). Window + aggregation; SQL-expressible,
-    * so the DuckDB oracle can verify it. Self-transitions are excluded
-    * (merged semantics never repeat a region back-to-back, and a
-    * transition models movement between regions).
-    */
-  def transitionCounts(semantics: DataFrame): DataFrame = {
-    val w = Window.partitionBy("deviceId").orderBy("seqNo")
-    semantics
-      .withColumn("to_region", lead("regionId", 1).over(w))
-      .filter(col("to_region").isNotNull && col("to_region") =!= col("regionId"))
-      .groupBy(col("regionId").as("from_region"), col("to_region"))
-      .agg(count(lit(1)).as("n"))
-  }
-
-  /** Per-region dwell mean and stay share (event distribution). */
-  def regionStats(semantics: DataFrame): DataFrame =
-    semantics.groupBy(col("regionId"))
-      .agg(avg(col("tEnd") - col("tStart")).as("mean_dwell"),
-           avg(when(col("event") === Stay, 1.0).otherwise(0.0)).as("stay_share"))
-
   /** Per-region tallies: summed annotated duration (s), `stay` semantics,
     * and all semantics. */
   final case class RegionTally(dwellSum: Long, stays: Long, n: Long) {
@@ -92,8 +68,8 @@ object Knowledge {
     def merge(o: Summary): Summary =
       Summary(add(transitions, o.transitions)(_ + _), add(regions, o.regions)(_ + _))
 
-    /** The model: the same numbers as [[transitionCounts]] and
-      * [[regionStats]] (Spark averages integers in an exact double sum). */
+    /** The model: the same numbers as `SqlReference.transitionCounts` and
+      * `regionStats` (Spark averages integers in an exact double sum). */
     def toModel(alpha: Double): KnowledgeModel =
       KnowledgeModel(transitions,
                      regions.map { case (r, t) => r -> t.dwellSum.toDouble / t.n },

@@ -59,14 +59,6 @@ private[repro] object PerDevice {
     }
   }
 
-  /** `ds` shuffled on its `deviceId` column into one partition per core. */
-  def shuffle[T](ds: Dataset[T]): Dataset[T] =
-    shuffle(ds, ds.sparkSession.sparkContext.defaultParallelism)
-
-  /** `ds` shuffled on its `deviceId` column into `partitions` partitions. */
-  def shuffle[T](ds: Dataset[T], partitions: Int): Dataset[T] =
-    ds.repartition(partitions, col("deviceId"))
-
   /** The rows of `it` grouped by `deviceId`, each device with its rows in
     * arrival order, the devices in sorted id order. */
   def groups[T](it: Iterator[T])(deviceId: T => String): Iterator[(String, Vector[T])] = {
@@ -76,9 +68,11 @@ private[repro] object PerDevice {
   }
 
   /** `f` applied to each device's rows of `ds`, which must have a
-    * `deviceId` column equal to `deviceId` of each row. Raw records go
-    * through [[tracks]] instead. */
+    * `deviceId` column equal to `deviceId` of each row, shuffled on that
+    * column into one partition per core. Raw records go through [[tracks]]
+    * instead. */
   def flatMap[T, U: Encoder](ds: Dataset[T])(deviceId: T => String)
                             (f: Vector[T] => IterableOnce[U]): Dataset[U] =
-    shuffle(ds).mapPartitions(it => groups(it)(deviceId).flatMap { case (_, rows) => f(rows) })
+    ds.repartition(ds.sparkSession.sparkContext.defaultParallelism, col("deviceId"))
+      .mapPartitions(it => groups(it)(deviceId).flatMap { case (_, rows) => f(rows) })
 }

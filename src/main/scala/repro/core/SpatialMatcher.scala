@@ -10,9 +10,11 @@ import repro.indoor.{Dsm, Region}
   */
 object SpatialMatcher {
 
-  /** Majority containing region over the snippet's records; record-level
-    * ties break toward the smaller region (a shop beats the corridor), and
-    * out-of-wall records snap to the nearest region on their floor. None
+  /** Majority region over the snippet's records, each record's region
+    * taken from `Dsm.locate` (through `regionAtSnapped`): an out-of-wall
+    * record snaps to the nearest wall on its floor, and where regions touch
+    * the smaller one holds it (a shop beats the corridor), inside the walls
+    * or not. Record-level ties also break toward the smaller region. None
     * when no record's floor has a region (the snippet is off the map).
     *
     * Most snippets lie in one region; that region is returned without a

@@ -53,6 +53,7 @@ object Splitter {
     /** Whether a sampling hole larger than `sessionGap` precedes record k. */
     def hole(k: Int): Boolean = rs(k).ts - rs(k - 1).ts > sessionGap
 
+    /** The id of the region `Dsm.locate` gives r, the Cleaner's rule. */
     def regionOf(r: CleanRecord): String =
       dsm.regionAtSnapped(r.point).map(_.id).getOrElse("?")
 

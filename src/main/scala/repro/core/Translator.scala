@@ -19,9 +19,11 @@ import repro.indoor.Dsm
   * annotates its devices and keeps the result as one compact
   * [[SemanticsBlock]]. The knowledge is merged from the blocks' per-device
   * summaries, and the complement runs over the same blocks, with no
-  * further shuffle. The layers' own Spark entry points (`Cleaner.clean`,
-  * `Annotator.annotate`, ...) stay available for the Viewer to trace
-  * intermediate data.
+  * further shuffle. The Viewer traces intermediate data through
+  * [[Translator.Result]]. The layers' own Spark entry points
+  * (`Cleaner.clean`, `Annotator.annotate`, ...) run each layer alone:
+  * `Result.cleaned` is `Cleaner.clean`, and the benchmark's per-layer trace
+  * (`--trace 1`) and the benches call them.
   */
 object Translator {
 

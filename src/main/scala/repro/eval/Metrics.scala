@@ -92,7 +92,11 @@ object Metrics {
 
   /** Positioning-error statistics of a (cleaned or raw) record set against
     * the 1 Hz ground truth: records join truth on (device, ts). Returns
-    * (n, mean error m, p95 error m, wrong-floor count). */
+    * (n, mean error m, p95 error m, wrong-floor count); the error of every
+    * joined record is one double, so they are collected and summed in
+    * ascending order, and p95 is the nearest-rank percentile of the sorted
+    * errors. Both are then functions of the records alone, not of the join
+    * strategy or the partitioning. Mean and p95 are NaN when nothing joins. */
   final case class PosError(n: Long, meanErr: Double, p95Err: Double, wrongFloor: Long)
 
   def posError(spark: SparkSession, records: DataFrame, truth: Dataset[GtRecord]): PosError = {
@@ -100,15 +104,15 @@ object Metrics {
       col("x").as("t_x"), col("y").as("t_y"), col("floor").as("t_floor"))
     val r = records.select(col("deviceId").as("device_id"), col("ts").as("t_ts"),
       col("x"), col("y"), col("floor"))
-    val j = r.join(t, Seq("device_id", "t_ts"), "inner")
-      .withColumn("err", sqrt(pow(col("x") - col("t_x"), 2) + pow(col("y") - col("t_y"), 2)))
-      .cache()
-    try {
-      val row = j.agg(count(lit(1)), avg("err"),
-        percentile_approx(col("err"), lit(0.95), lit(10000)),
-        sum(when(col("floor") =!= col("t_floor"), 1L).otherwise(0L))).head()
-      PosError(row.getLong(0), row.getDouble(1), row.getDouble(2), row.getLong(3))
-    } finally { j.unpersist(); () }
+    val rows = r.join(t, Seq("device_id", "t_ts"), "inner")
+      .select(sqrt(pow(col("x") - col("t_x"), 2) + pow(col("y") - col("t_y"), 2)),
+              col("floor") =!= col("t_floor"))
+      .collect()
+    val errs = rows.map(_.getDouble(0))
+    java.util.Arrays.sort(errs)
+    val n = errs.length
+    if (n == 0) PosError(0, Double.NaN, Double.NaN, 0)
+    else PosError(n, errs.sum / n, errs(math.ceil(0.95 * n).toInt - 1), rows.count(_.getBoolean(1)))
   }
 
   /** Gap-recovery score for the Complementor (T4): for each injected

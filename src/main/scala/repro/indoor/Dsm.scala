@@ -37,7 +37,9 @@ final case class Door(id: String, regionA: String, regionB: String,
   * spatial computations of the Cleaning layer:
   *
   *  - `locate` — point location: the point snapped inside the walls of its
-  *    floor, with the region holding it (spatial matching);
+  *    floor, with the region holding it (spatial matching). It is the one
+  *    point-location rule: `regionAtSnapped`, which the annotation layer
+  *    and the simulator use, is the region it holds;
   *  - `minWalkDist` — the minimum indoor walking distance between two
   *    indoor points, respecting walls, doors and staircases (used for the
   *    speed-constraint check, per Yang et al. as cited by the paper);
@@ -147,8 +149,12 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     * point is kept as is and has no region. */
   def locate(p: IndoorPoint): Located = {
     val fl = floorOf(p)
-    if (fl == null) return new Located(p, -1, None)
-    val first = fl.firstContaining(p.x, p.y)
+    if (fl == null) new Located(p, -1, None) else locate(p, fl, fl.firstContaining(p.x, p.y))
+  }
+
+  /** [[locate]] of an on-map `p` on floor `fl`, given the first region of
+    * `fl` containing it (-1 when none does). */
+  private def locate(p: IndoorPoint, fl: FloorIndex, first: Int): Located = {
     val k = if (first >= 0) first else fl.nearest(p.x, p.y)
     val sx = math.min(math.max(p.x, fl.xMin(k)), fl.xMax(k))
     val sy = math.min(math.max(p.y, fl.yMin(k)), fl.yMax(k))
@@ -159,34 +165,19 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     new Located(IndoorPoint(sx, sy, p.floor), idx, region(idx))
   }
 
-  /** The region containing `p`, preferring the smallest-area match when
-    * regions touch at shared boundaries. None if `p` is out of all regions
-    * (e.g. heavy positioning noise outside the walls) or off the map.
-    */
-  def regionAt(p: IndoorPoint): Option[Region] = {
+  /** The region [[locate]] gives `p`: the one holding `p` snapped inside
+    * the walls, the smallest-area one where regions touch; None off the
+    * map. A point inside a region is its own snap, so its lookup builds no
+    * [[Dsm.Located]]. */
+  def regionAtSnapped(p: IndoorPoint): Option[Region] = {
     val fl = floorOf(p)
     if (fl == null) None
     else {
       val first = fl.firstContaining(p.x, p.y)
-      if (first < 0) None else region(fl.ids(fl.smallestContaining(p.x, p.y, first)))
+      if (first >= 0) region(fl.ids(fl.smallestContaining(p.x, p.y, first)))
+      else locate(p, fl, first).region
     }
   }
-
-  /** Nearest region on `p`'s floor by rectangle distance, the first such
-    * region on ties (fallback for points outside all regions); None when
-    * `p` is off the map. */
-  def nearestRegion(p: IndoorPoint): Option[Region] = {
-    val fl = floorOf(p)
-    if (fl == null) None else region(fl.ids(fl.nearest(p.x, p.y)))
-  }
-
-  /** `p` snapped into the nearest region on its floor. */
-  def snap(p: IndoorPoint): IndoorPoint = locate(p).point
-
-  /** Region of `p` after snapping noise back inside the walls: the
-    * containing region, else the nearest one; None off the map. */
-  def regionAtSnapped(p: IndoorPoint): Option[Region] =
-    regionAt(p).orElse(nearestRegion(p))
 
   // -------------------------------------------------------- route search
 

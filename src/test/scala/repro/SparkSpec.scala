@@ -14,8 +14,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * is planned as a shuffle join on its equality keys, whatever
   * the size of its inputs: the tests' tiny tables check the plan that the
   * benches' SF=0.1 tables run, and the DuckDB oracle checks its result.
-  * `Table1Demo` sets the same. Explicit `sparkContext.broadcast` values
-  * (the DSM, the knowledge) are not affected.
+  * Explicit `sparkContext.broadcast` values (the DSM, the knowledge) are
+  * not affected.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

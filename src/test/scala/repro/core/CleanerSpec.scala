@@ -79,7 +79,7 @@ class CleanerSpec extends AnyFunSuite {
     // Interpolated point lies between (3,5)@5 and (5,5)@15 in room A.
     assert(out(2).floor == 0)
     assert(out(2).x >= 3 && out(2).x <= 5.5)
-    assert(dsm.regionAt(out(2).point).map(_.id).contains("A"))
+    assert(dsm.regionAtSnapped(out(2).point).map(_.id).contains("A"))
   }
 
   test("interpolated record is speed-consistent with both neighbours") {
@@ -122,7 +122,7 @@ class CleanerSpec extends AnyFunSuite {
     val rs = Seq(rec(0, 9, 1), rec(4, 9.2, 1.2), rec(8, 12, 1), rec(12, 9.4, 1.1))
     val out = cleanExact(rs, maxSpeed = 1.0)
     assert(out(2).repair == "interp")
-    assert(dsm.regionAt(out(2).point).map(_.id).contains("A"))
+    assert(dsm.regionAtSnapped(out(2).point).map(_.id).contains("A"))
   }
 
   test("cleaning is idempotent") {

@@ -1,10 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SqlReference}
 import repro.core.Schema._
 
-/** `Cleaner.euclidSpeeds` (T2's speed-violation row) against the same
+/** `SqlReference.euclidSpeeds` (T2's speed-violation row) against the same
   * window query on DuckDB. */
 class EuclidSpeedsSpec extends SparkSpec {
 
@@ -41,7 +41,7 @@ class EuclidSpeedsSpec extends SparkSpec {
       PosRecord("b", 5, 1, 1, 2),
       PosRecord("b", 7, 4, 5, 2)   // 5 m in 2 s
     ).toDF()
-    val speeds = Cleaner.euclidSpeeds(raw)
+    val speeds = SqlReference.euclidSpeeds(raw)
     assert(speeds.collect().flatMap(r => Option(r.getAs[java.lang.Double]("euclid_speed")))
       .map(_.doubleValue).sorted.toSeq == Seq(0.5, 1.0, 2.5))
     Oracle.assertEquivalent(speeds, duckSpeeds, "raw" -> raw)
@@ -55,7 +55,7 @@ class EuclidSpeedsSpec extends SparkSpec {
     def track(d: String, tie: Seq[(Double, Double)]) =
       PosRecord(d, 0, 0, 0, 0) +: tie.map { case (x, y) => PosRecord(d, 10, x, y, 0) } :+ PosRecord(d, 20, 3, 4, 0)
     val raw = (track("c", Seq((3, 4), (30, 40))) ++ track("d", Seq((30, 40), (3, 4)))).toDF()
-    val speeds = Cleaner.euclidSpeeds(raw)
+    val speeds = SqlReference.euclidSpeeds(raw)
     assert(speedsByDevice(speeds) == Map("c" -> Seq(0.5, 4.5), "d" -> Seq(0.5, 4.5)))
     Oracle.assertEquivalent(speeds, duckSpeeds, "raw" -> raw)
   }

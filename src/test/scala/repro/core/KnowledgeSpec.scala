@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SqlReference}
 import repro.config.EventEditor
 import repro.core.Knowledge.{KnowledgeModel, Summary}
 import repro.core.Schema._
@@ -21,7 +21,7 @@ class KnowledgeSpec extends SparkSpec {
 
   test("transitionCounts aggregates consecutive pairs per device") {
     import spark.implicits._
-    val out = Knowledge.transitionCounts(sems.toDF())
+    val out = SqlReference.transitionCounts(sems.toDF())
     val m = out.collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
     assert(m(("A", "B")) == 2)
     assert(m(("B", "C")) == 2)
@@ -33,7 +33,7 @@ class KnowledgeSpec extends SparkSpec {
     import spark.implicits._
     val df = sems.toDF()
     Oracle.assertEquivalent(
-      Knowledge.transitionCounts(df)
+      SqlReference.transitionCounts(df)
         .select(col("from_region"), col("to_region"), col("n")),
       """WITH nxt AS (
         |  SELECT regionId AS from_region,
@@ -47,7 +47,7 @@ class KnowledgeSpec extends SparkSpec {
 
   test("regionStats computes dwell mean and stay share") {
     import spark.implicits._
-    val out = Knowledge.regionStats(sems.toDF()).collect()
+    val out = SqlReference.regionStats(sems.toDF()).collect()
       .map(r => r.getString(0) -> ((r.getDouble(1), r.getDouble(2)))).toMap
     // B: durations 60,60,300,30 -> mean 112.5; one stay of four -> 0.25
     assert(math.abs(out("B")._1 - 112.5) < 1e-9)
@@ -59,7 +59,7 @@ class KnowledgeSpec extends SparkSpec {
     import spark.implicits._
     val df = sems.toDF()
     Oracle.assertEquivalent(
-      Knowledge.regionStats(df),
+      SqlReference.regionStats(df),
       s"""SELECT regionId, avg(CAST(tEnd AS BIGINT) - CAST(tStart AS BIGINT)) AS mean_dwell,
          |       avg(CASE WHEN event = '$Stay' THEN 1.0 ELSE 0.0 END) AS stay_share
          |FROM sems GROUP BY regionId""".stripMargin,
@@ -87,9 +87,9 @@ class KnowledgeSpec extends SparkSpec {
   test("merged summaries equal transitionCounts and regionStats exactly") {
     import spark.implicits._
     val df = annotatedSynth.toDF()
-    val trans = Knowledge.transitionCounts(df).collect()
+    val trans = SqlReference.transitionCounts(df).collect()
       .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    val stats = Knowledge.regionStats(df).collect()
+    val stats = SqlReference.regionStats(df).collect()
       .map(r => r.getString(0) -> ((r.getDouble(1), r.getDouble(2)))).toMap
     val km = Summary.mergeAll(annotatedSynth.groupBy(_.deviceId).values.map(Summary.ofDevice)).toModel(0.5)
     assert(trans.size > 10)

@@ -55,8 +55,24 @@ class SplitterSpec extends AnyFunSuite {
     val w = walk(0, 2, 28) // crosses A, B, C
     val out = Splitter.split(dsm, w)
     assert(out.size >= 3)
-    val regions = out.map(s => dsm.regionAt(s.records.head.point).get.id)
+    val regions = out.map(s => dsm.regionAtSnapped(s.records.head.point).get.id)
     assert(regions.distinct == Vector("A", "B", "C"))
+  }
+
+  test("a movement run that only crosses a shop's outer wall stays one region run") {
+    // A corridor drawn before a shop in its corner; noise pushes every
+    // other record west of the wall x = 0 they share. Snapped back, those
+    // records sit on the shared wall, where the smaller region, the shop,
+    // holds them.
+    val mall = new Dsm(
+      IndexedSeq(Region("COR", 0, Rect(0, 0, 100, 10), "Corridor", "corridor"),
+                 Region("SHOP", 0, Rect(0, 0, 10, 5), "Shop", "room")),
+      IndexedSeq(Door("ds", "COR", "SHOP", 10, 2.5)))
+    val xs = Seq(2.0, -1.0, 3.0, -1.5, 4.0, -0.5)
+    val rs = xs.zipWithIndex.map { case (x, i) => rec(i * 5L, x, 1 + 0.5 * i) } // 25 s < minDur
+    val out = Splitter.split(mall, rs)
+    assert(out.size == 1 && !out.head.dense && out.head.records == rs)
+    assert(SpatialMatcher.matchSnippet(mall, out.head).map(_.id).contains("SHOP"))
   }
 
   test("a sampling hole larger than sessionGap always splits") {

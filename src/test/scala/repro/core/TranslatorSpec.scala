@@ -131,6 +131,7 @@ class TranslatorSpec extends SparkSpec {
   }
 
   test("PerDevice groups each device's rows once, in sorted id order, at any partition count") {
+    import spark.implicits._
     val raw = evalRaw.collect().toSeq.groupBy(_.deviceId)
     def check(parts: Array[Vector[(String, Vector[PosRecord])]], what: String): Unit = {
       parts.foreach(p => assert(p.map(_._1) == p.map(_._1).sorted, s"device order, $what"))
@@ -141,13 +142,13 @@ class TranslatorSpec extends SparkSpec {
       }
     }
     Seq(1, 7).foreach { n =>
-      val parts = PerDevice.shuffle(evalRaw, n).rdd
-        .mapPartitions(it => Iterator(PerDevice.groups(it)(_.deviceId).toVector)).collect()
-      assert(parts.length == n)
-      check(parts, s"shuffle into $n partitions")
       // Round-robin input partitions, so a device's rows sit in several of them.
       val input = evalRaw.repartition(n)
       if (n > 1) assert(input.rdd.mapPartitions(_.map(_.deviceId).toSet.iterator).countByValue().values.exists(_ > 1))
+      val parts = PerDevice.flatMap(input)(_.deviceId)(rs => Iterator(rs.head.deviceId -> rs)).rdd
+        .mapPartitions(it => Iterator(it.toVector)).collect()
+      check(parts, s"flatMap of $n input partitions")
+      assert(parts.length == spark.sparkContext.defaultParallelism)
       val tracks = PerDevice.tracks(input).mapPartitions(it => Iterator(it.toVector)).collect()
       check(tracks, s"tracks of $n input partitions")
       assert(tracks.length == spark.sparkContext.defaultParallelism)

@@ -89,6 +89,38 @@ class MetricsSpec extends SparkSpec {
     assert(e.wrongFloor == 1)
   }
 
+  test("posError is a function of the records: any join strategy, any partitioning, bit for bit") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(11)
+    val truth = for (d <- 0 until 40; t <- 0L until 3000L)
+      yield GtRecord(f"d$d%02d", t, 50 + 10 * rnd.nextGaussian(), 20 + 5 * rnd.nextGaussian(), d % 7, "r", "T", Stay)
+    val recs = truth.filter(_ => rnd.nextDouble() < 0.7).map { g =>
+      PosRecord(g.deviceId, g.ts, g.x + 1.5 * rnd.nextGaussian(), g.y + 1.5 * rnd.nextGaussian(),
+                if (rnd.nextDouble() < 0.03) g.floor + 1 else g.floor)
+    }
+    def bits(e: Metrics.PosError) = (e.n, java.lang.Double.doubleToRawLongBits(e.meanErr),
+                                     java.lang.Double.doubleToRawLongBits(e.p95Err), e.wrongFloor)
+    // The errors summed in ascending order, and the nearest-rank p95.
+    val byKey = truth.map(g => (g.deviceId, g.ts) -> g).toMap
+    val errs = recs.map { r =>
+      val g = byKey((r.deviceId, r.ts))
+      math.sqrt(math.pow(r.x - g.x, 2) + math.pow(r.y - g.y, 2))
+    }.sorted
+    val expected = (recs.size.toLong, java.lang.Double.doubleToRawLongBits(errs.sum / errs.size),
+      java.lang.Double.doubleToRawLongBits(errs(math.ceil(0.95 * errs.size).toInt - 1)),
+      recs.count(r => r.floor != byKey((r.deviceId, r.ts)).floor).toLong)
+    val recDf = recs.toDF(); val truthDs = truth.toDS()
+    for (n <- Seq(1, 7); hint <- Seq("shuffle", "broadcast records", "broadcast truth")) {
+      val r = recDf.repartition(n); val t = truthDs.repartition(n)
+      val e = hint match {
+        case "shuffle"           => Metrics.posError(spark, r, t)
+        case "broadcast records" => Metrics.posError(spark, broadcast(r), t)
+        case _                   => Metrics.posError(spark, r, broadcast(t))
+      }
+      assert(bits(e) == expected, s"$hint join, $n partitions")
+    }
+  }
+
   test("gapRecovery scores inferred coverage inside gaps only") {
     import spark.implicits._
     val truth = Seq(sem("d", 0, PassBy, "A", 0, 299)).toDS()

@@ -58,18 +58,19 @@ class DsmSpec extends AnyFunSuite {
     assert(dsm.adjacentRegions("X") == Set.empty)
   }
 
-  test("regionAt inside a region") {
-    assert(dsm.regionAt(p(5, 5, 0)).map(_.id).contains("A"))
-    assert(dsm.regionAt(p(15, 5, 1)).map(_.id).contains("C"))
+  test("regionAtSnapped inside a region") {
+    assert(dsm.regionAtSnapped(p(5, 5, 0)).map(_.id).contains("A"))
+    assert(dsm.regionAtSnapped(p(15, 5, 1)).map(_.id).contains("C"))
   }
-  test("regionAt respects floor") {
-    assert(dsm.regionAt(p(15, 5, 0)).map(_.id).contains("B"))
-    assert(dsm.regionAt(p(5, 5, 1)).isEmpty)
+  test("regionAtSnapped respects floor") {
+    assert(dsm.regionAtSnapped(p(15, 5, 0)).map(_.id).contains("B"))
+    // (5, 5) on floor 1 is outside roomC's west wall: it snaps onto it.
+    assert(dsm.regionAtSnapped(p(5, 5, 1)).map(_.id).contains("C"))
   }
-  test("regionAt outside everything is None; nearestRegion snaps") {
-    assert(dsm.regionAt(p(30, 5, 0)).isEmpty)
-    assert(dsm.nearestRegion(p(26, 5, 0)).map(_.id).contains("S0"))
-    assert(dsm.snap(p(26, 5, 0)) == p(25, 5, 0))
+  test("regionAtSnapped outside everything snaps to the nearest wall") {
+    assert(dsm.regionAtSnapped(p(26, 5, 0)).map(_.id).contains("S0"))
+    assert(dsm.locate(p(26, 5, 0)).point == p(25, 5, 0))
+    assert(dsm.regionAtSnapped(p(30, 5, 0)).map(_.id).contains("S0")) // 5 m from S0, 10 m from X
   }
 
   test("locate: an inside point is its own snap, in the smallest containing region") {
@@ -95,9 +96,6 @@ class DsmSpec extends AnyFunSuite {
         val l = dsm.locate(q)
         assert(l.region.isEmpty)
         assert(l.point eq q) // kept as is, not clamped onto a wall
-        assert(dsm.snap(q) eq q)
-        assert(dsm.regionAt(q).isEmpty)
-        assert(dsm.nearestRegion(q).isEmpty)
         assert(dsm.regionAtSnapped(q).isEmpty)
         assert(dsm.minWalkDist(q, p(5, 5, 0)) == Double.PositiveInfinity)
         assert(dsm.minWalkDist(p(5, 5, 0), q) == Double.PositiveInfinity)
@@ -181,10 +179,23 @@ class DsmSpec extends AnyFunSuite {
     assert(dsm.alongPath(p(5, 5, 0), p(45, 5, 0), 0.5) == p(5, 5, 0))
   }
 
-  test("regionAt prefers the smaller region on boundary overlap") {
+  test("regionAtSnapped prefers the smaller region on boundary overlap") {
     val small = Region("SM", 0, Rect(4, 4, 6, 6), "Small", "room")
     val d2 = new Dsm(regions :+ small, doors)
-    assert(d2.regionAt(p(5, 5, 0)).map(_.id).contains("SM"))
+    assert(d2.regionAtSnapped(p(5, 5, 0)).map(_.id).contains("SM"))
+  }
+  test("regionAtSnapped is locate's region outside a wall that a larger, earlier region shares") {
+    // A corridor drawn before a shop in its corner: both hold the shop's
+    // west wall x = 0, so a record 1 m outside it snaps onto the shared
+    // wall, where the shop is the smaller region.
+    val corridor = Region("COR", 0, Rect(0, 0, 100, 10), "Corridor", "corridor")
+    val shop = Region("SHOP", 0, Rect(0, 0, 10, 5), "Shop", "room")
+    val d2 = new Dsm(IndexedSeq(corridor, shop), IndexedSeq(Door("ds", "COR", "SHOP", 10, 2.5)))
+    for (q <- Seq(p(-1, 2, 0), p(0.5, 2, 0), p(-3, -1, 0))) {
+      assert(d2.regionAtSnapped(q).map(_.id).contains("SHOP"), q)
+      assert(d2.regionAtSnapped(q) == d2.locate(q).region, q)
+    }
+    assert(d2.regionAtSnapped(p(-1, 7, 0)).map(_.id).contains("COR"))
   }
   test("semanticTags sorted distinct") {
     assert(dsm.semanticTags ==

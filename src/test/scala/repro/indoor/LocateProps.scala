@@ -20,7 +20,9 @@ object LocateProps extends Properties("Locate") {
 
   private val dsm = Mall.dsm()
 
-  /** The pre-`locate` definitions: per-call scans with collections. */
+  /** The pre-`locate` definitions: per-call scans with collections. The
+    * DSM itself no longer has `regionAt`, `nearestRegion` or `snap`: a
+    * point's region is the region of its snap. */
   private object Ref {
     def regionAt(p: IndoorPoint): Option[Region] = {
       val hits = dsm.regionsOnFloor(p.floor).filter(_.contains(p))
@@ -176,9 +178,12 @@ object LocateProps extends Properties("Locate") {
     exact(l.point) == exact(s) && l.region == Ref.regionAtSnapped(s)
   }
 
-  property("regionAt, nearestRegion, snap, regionAtSnapped == reference") = forAll(point) { p =>
-    dsm.regionAt(p) == Ref.regionAt(p) && dsm.nearestRegion(p) == Ref.nearestRegion(p) &&
-      exact(dsm.snap(p)) == exact(Ref.snap(p)) && dsm.regionAtSnapped(p) == Ref.regionAtSnapped(p)
+  property("regionAtSnapped == reference region of the snap") = forAll(point) { p =>
+    dsm.regionAtSnapped(p) == Ref.regionAtSnapped(Ref.snap(p))
+  }
+
+  property("regionAtSnapped == locate(p).region") = forAll(point) { p =>
+    dsm.regionAtSnapped(p) == dsm.locate(p).region
   }
 
   property("minWalkDist == reference") = forAll(point, point) { (a, b) =>
