@@ -30,8 +30,9 @@ import repro.indoor.Geometry.IndoorPoint
   * with no on-map record keeps it, as `none`.
   *
   * The per-device pass is sequential (each repair feeds the next check).
-  * `Translator.translate` runs it inside its single per-device pass;
-  * [[clean]] runs it alone, device-parallel, for the Viewer and the benches.
+  * `Translator.translate` runs it inside its single per-device pass, and
+  * again over the same grouping for `Result.cleaned`; [[clean]] runs it
+  * alone, device-parallel, for T2 and the benchmark.
   */
 object Cleaner {
 
@@ -160,9 +161,11 @@ object Cleaner {
     out.result()
   }
 
-  /** Clean all devices' records; device-parallel through its own
-    * [[PerDevice.tracks]] shuffle, so each device's records are grouped as
-    * in `Translator.translate`. */
+  /** Clean all devices' records, device-parallel, through a
+    * [[PerDevice.tracks]] shuffle of its own: the Cleaner alone, as T2 and
+    * the benchmark's per-layer trace and model training run it. It gives
+    * the rows of `Translator.translate`'s `Result.cleaned`, which reuses
+    * the translation's shuffle instead. */
   def clean(spark: SparkSession, raw: Dataset[PosRecord], dsm: Broadcast[Dsm],
             maxSpeed: Double = DefaultMaxSpeed): Dataset[CleanRecord] = {
     import spark.implicits._

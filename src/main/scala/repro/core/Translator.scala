@@ -20,10 +20,11 @@ import repro.indoor.Dsm
   * [[SemanticsBlock]]. The knowledge is merged from the blocks' per-device
   * summaries, and the complement runs over the same blocks, with no
   * further shuffle. The Viewer traces intermediate data through
-  * [[Translator.Result]]. The layers' own Spark entry points
-  * (`Cleaner.clean`, `Annotator.annotate`, ...) run each layer alone:
-  * `Result.cleaned` is `Cleaner.clean`, and the benchmark's per-layer trace
-  * (`--trace 1`) and the benches call them.
+  * [[Translator.Result]]; its cleaned records come from the pass's own
+  * grouping, so reading them shuffles nothing. The layers' own Spark entry
+  * points (`Cleaner.clean`, `Annotator.annotate`, ...) run each layer alone.
+  * A translation calls none of them; the benchmark's per-layer trace
+  * (`--trace 1`) and model training, T2 and the tests that pin them do.
   */
 object Translator {
 
@@ -36,9 +37,11 @@ object Translator {
     * lets the analyst trace (raw/cleaned sequences, original and
     * complemented semantics). The annotated semantics are cached as
     * compact blocks, one per partition; `annotated` decodes them on each
-    * action, and `semantics` complements them. `cleaned` is recomputed on
-    * each action (the cleaned records are the same ones the semantics came
-    * from: cleaning is deterministic). */
+    * action, and `semantics` complements them. `cleaned` cleans each
+    * device again on each action, from the same grouping the pass read: it
+    * runs only the reduce side of the pass's shuffle, over output Spark
+    * already holds. They are the records the semantics came from, since
+    * cleaning is deterministic. */
   final case class Result(cleaned: Dataset[CleanRecord],
                           annotated: Dataset[Semantic],
                           knowledge: Knowledge.KnowledgeModel,
@@ -71,8 +74,9 @@ object Translator {
     val b = sc.broadcast(dsm)
     val caller = sc.getLocalProperty(JobDescription)
     sc.setJobDescription("translate: pass + knowledge")
+    val tracks = PerDevice.tracks(raw)
     val (blocks, km) = try {
-      val blocks = PerDevice.tracks(raw).mapPartitions { it =>
+      val blocks = tracks.mapPartitions { it =>
         val d = b.value
         Iterator(SemanticsBlock.encode(d, it.map { case (id, rs) =>
           id -> Annotator.annotateDevice(d, model, Cleaner.cleanDevice(d, rs, cfg.maxSpeed), cfg.annotator)
@@ -88,7 +92,8 @@ object Translator {
     val semantics = blocks.flatMap(_.devices(b.value).flatMap { case (_, ss) =>
       Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold)
     })
-    Result(Cleaner.clean(spark, raw, b, cfg.maxSpeed), annotated.toDS(), km, semantics.toDS())(blocks, Seq(b, bk))
+    val cleaned = tracks.flatMap { case (_, rs) => Cleaner.cleanDevice(b.value, rs, cfg.maxSpeed) }
+    Result(cleaned.toDS(), annotated.toDS(), km, semantics.toDS())(blocks, Seq(b, bk))
   }
 
   /** The local property `SparkContext.setJobDescription` sets. */

@@ -155,6 +155,48 @@ class TranslatorSpec extends SparkSpec {
     }
   }
 
+  /** `body`'s value, and the shuffle records written by the tasks of the
+    * jobs it runs under the job description `description`. */
+  private def shuffleRecordsWritten[A](description: String)(body: => A): (A, Long) = {
+    val sc = spark.sparkContext
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val written = new AtomicLong()
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        e.properties.getProperty("spark.job.description") match {
+          case `description`   => e.stageIds.foreach(stages.add)
+          case "after the body" => drained.countDown()
+          case _               => ()
+        }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          written.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    }
+    sc.addSparkListener(listener)
+    try {
+      val out = body
+      // The listener bus is asynchronous: once it delivers a job started
+      // after the body, it has delivered every event of the body.
+      sc.setJobDescription("after the body")
+      try sc.parallelize(Seq(1)).count() finally sc.setJobDescription(null)
+      assert(drained.await(10, TimeUnit.SECONDS))
+      (out, written.get())
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** The ids of the shuffles in `rdd`'s lineage. */
+  private def shuffleIds(rdd: RDD[_]): Set[Int] = {
+    val seen = scala.collection.mutable.Set.empty[Int]
+    def visit(r: RDD[_]): Set[Int] =
+      if (!seen.add(r.id)) Set.empty
+      else r.dependencies.flatMap {
+        case d: ShuffleDependency[_, _, _] => visit(d.rdd) + d.shuffleId
+        case d                             => visit(d.rdd)
+      }.toSet
+    visit(rdd)
+  }
+
   test("the pass shuffles one record per device of each input partition") {
     import spark.implicits._
     val (_, _, model) = fixture
@@ -164,42 +206,41 @@ class TranslatorSpec extends SparkSpec {
     val input = sc.parallelize(new scala.util.Random(7).shuffle(evalRaw.collect().toSeq), 7).toDS()
     val pairs = input.rdd.mapPartitionsWithIndex((i, it) => it.map(r => (i, r.deviceId))).distinct().count()
     assert(pairs > 7 && pairs < input.count())
-    val passStages = ConcurrentHashMap.newKeySet[Int]()
-    val written = new AtomicLong()
-    val drained = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        e.properties.getProperty("spark.job.description") match {
-          case "translate: pass + knowledge" => e.stageIds.foreach(passStages.add)
-          case "after the pass"              => drained.countDown()
-          case _                             => ()
-        }
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (passStages.contains(e.stageId) && e.taskMetrics != null)
-          written.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    val (r, written) = shuffleRecordsWritten("translate: pass + knowledge") {
+      Translator.translate(spark, input, dsm, model)
     }
-    sc.addSparkListener(listener)
-    try {
-      val r = Translator.translate(spark, input, dsm, model)
-      // The listener bus is asynchronous: once it delivers a job started
-      // after the pass, it has delivered every event of the pass.
-      sc.setJobDescription("after the pass")
-      try sc.parallelize(Seq(1)).count() finally sc.setJobDescription(null)
-      assert(drained.await(10, TimeUnit.SECONDS))
-      assert(written.get() == pairs)
-      r.unpersist()
-    } finally sc.removeSparkListener(listener)
+    assert(written == pairs)
+    r.unpersist()
+  }
+
+  test("Result.cleaned reads the pass's shuffle output and shuffles nothing of its own") {
+    val (_, _, model) = fixture
+    val sc = spark.sparkContext
+    val r = Translator.translate(spark, evalRaw, dsm, model)
+    val pass = shuffleIds(r.semantics.rdd)
+    assert(pass.size == 1 && shuffleIds(r.cleaned.rdd) == pass)
+    r.semantics.collect()
+    // `collect`, not `count`: `count`'s partial aggregate adds an exchange of its own.
+    val (cleaned, written) = shuffleRecordsWritten("read the cleaned records") {
+      sc.setJobDescription("read the cleaned records")
+      try r.cleaned.collect() finally sc.setJobDescription(null)
+    }
+    assert(written == 0)
+    assert(r.cleaned.rdd.getNumPartitions == sc.defaultParallelism)
+    // The same rows as the per-device Cleaner, and as the Cleaner's own Spark entry point.
+    def sorted(cs: Iterable[CleanRecord]) = cs.toSeq.sortBy(c => (c.deviceId, c.ts))
+    val expected = sorted(evalRaw.collect().toSeq.groupBy(_.deviceId).values.flatMap(Cleaner.cleanDevice(dsm, _)))
+    assert(sorted(cleaned) == expected)
+    val b = sc.broadcast(dsm)
+    assert(sorted(Cleaner.clean(spark, evalRaw, b).collect()) == expected)
+    b.destroy()
+    r.unpersist()
   }
 
   test("translate shuffles once") {
     val (result, _, _) = fixture
-    val seen = scala.collection.mutable.Set.empty[Int]
-    def shuffles(rdd: RDD[_]): Int =
-      if (!seen.add(rdd.id)) 0
-      else rdd.dependencies.map { d =>
-        (d match { case _: ShuffleDependency[_, _, _] => 1; case _ => 0 }) + shuffles(d.rdd)
-      }.sum
-    assert(shuffles(result.semantics.rdd) == 1)
+    val ids = Seq(result.cleaned, result.annotated, result.semantics).map(ds => shuffleIds(ds.rdd))
+    assert(ids.head.size == 1 && ids.forall(_ == ids.head), ids)
   }
 
   test("the cached per-device pass has at most one partition per core") {
