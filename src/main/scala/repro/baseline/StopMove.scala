@@ -90,6 +90,6 @@ object StopMove {
   def annotate(spark: SparkSession, raw: Dataset[PosRecord],
                dsm: Broadcast[Dsm]): Dataset[Semantic] = {
     import spark.implicits._
-    PerDevice.tracks(raw).flatMap { case (_, rs) => annotateDevice(dsm.value, rs) }.toDS()
+    PerDevice.tracks(raw).flatMap { case (id, t) => annotateDevice(dsm.value, t.records(id)) }.toDS()
   }
 }

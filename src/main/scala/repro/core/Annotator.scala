@@ -27,33 +27,47 @@ object Annotator {
                           minDur: Long = Splitter.DefaultMinDur,
                           sessionGap: Long = Splitter.DefaultSessionGap)
 
-  /** Annotate one device's cleaned, time-sorted records. A device with no
-    * on-map record (the Cleaner keeps such a device's records as they are:
-    * an unmodelled floor, a non-finite coordinate) matches no region and
-    * yields no semantics; it is not split, because a non-finite coordinate
-    * bounds no snippet. */
+  /** Annotate one device's cleaned, time-sorted records: [[annotateTrack]]
+    * of their columns, each record located with the Cleaner's rule. */
   def annotateDevice(dsm: Dsm, model: EventModel, records: Seq[CleanRecord],
-                     cfg: Config = Config()): Vector[Semantic] = {
-    if (!records.exists(r => dsm.regionAtSnapped(r.point).isDefined)) return Vector.empty
-    val snippets = Splitter.split(dsm, records, cfg.eps, cfg.minDur, cfg.sessionGap)
+                     cfg: Config = Config()): Vector[Semantic] =
+    if (records.isEmpty) Vector.empty
+    else annotateTrack(dsm, model, records.head.deviceId, CleanTrack.of(dsm, records), cfg)
+
+  /** Annotate one device's cleaned track, reading each record's region
+    * from the track. A device with no on-map record (the Cleaner keeps such
+    * a device's records as they are: an unmodelled floor, a non-finite
+    * coordinate) matches no region and yields no semantics; it is not
+    * split, because a non-finite coordinate bounds no snippet. */
+  private[repro] def annotateTrack(dsm: Dsm, model: EventModel, deviceId: String, t: CleanTrack,
+                                   cfg: Config = Config()): Vector[Semantic] = {
+    if (!t.region.exists(_ >= 0)) return Vector.empty
+    val cuts = Splitter.cut(t, cfg.eps, cfg.minDur, cfg.sessionGap)
     // Adjacent semantics with identical (event, region) within a session
     // gap merge into `open`, which is emitted when the next one differs.
     val out = Vector.newBuilder[Semantic]
     var open: Semantic = null
     var seqNo = 0
     def emit(): Unit = if (open != null) { out += open.copy(seqNo = seqNo); seqNo += 1 }
-    snippets.foreach { s =>
-      SpatialMatcher.matchSnippet(dsm, s).foreach { region =>
-        val event = model.annotate(Features.ofSnippet(s))
+    var k = 0
+    while (k < cuts.size) {
+      val from = cuts.bounds(k)
+      val until = cuts.bounds(k + 1)
+      val r = SpatialMatcher.matchRange(dsm, t.region, from, until)
+      if (r >= 0) {
+        val region = dsm.regions(r)
+        val event = model.annotate(Features.of(deviceId, k, t.ts, t.x, t.y, from, until))
+        val tStart = t.ts(from)
+        val tEnd = t.ts(until - 1)
         if (open != null && open.event == event && open.regionId == region.id &&
-            s.tStart - open.tEnd <= cfg.sessionGap) {
-          open = open.copy(tEnd = s.tEnd)
+            tStart - open.tEnd <= cfg.sessionGap) {
+          open = open.copy(tEnd = tEnd)
         } else {
           emit()
-          open = Semantic(s.deviceId, s.snippetId, event, region.tag, region.id,
-                          s.tStart, s.tEnd, source = "annotated")
+          open = Semantic(deviceId, k, event, region.tag, region.id, tStart, tEnd, source = "annotated")
         }
       }
+      k += 1
     }
     emit()
     out.result()

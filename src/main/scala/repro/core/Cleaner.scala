@@ -52,47 +52,128 @@ object Cleaner {
     * location interpolation before clamping to the last valid location. */
   val Lookahead = 6
 
+  /** The repairs, by the code a [[CleanTrack]] stores for them. */
+  private[repro] val Repairs: Array[String] = Array("none", "floor", "reanchor", "interp")
+  private final val AsIs: Byte = 0
+  private final val Floor: Byte = 1
+  private final val Reanchor: Byte = 2
+  private final val Interp: Byte = 3
+
   /** Records by timestamp; ties (duplicate timestamps) by floor, x, y. A
     * total order: records it ranks equal are equal in every field. */
   private[repro] object ByTsThenFields extends Ordering[PosRecord] {
-    def compare(a: PosRecord, b: PosRecord): Int = {
-      var c = java.lang.Long.compare(a.ts, b.ts)
-      if (c == 0) c = Integer.compare(a.floor, b.floor)
-      if (c == 0) c = java.lang.Double.compare(a.x, b.x)
-      if (c == 0) c = java.lang.Double.compare(a.y, b.y)
+    def compare(a: PosRecord, b: PosRecord): Int = fields(a.ts, a.floor, a.x, a.y, b.ts, b.floor, b.x, b.y)
+
+    def fields(ts1: Long, f1: Int, x1: Double, y1: Double, ts2: Long, f2: Int, x2: Double, y2: Double): Int = {
+      var c = java.lang.Long.compare(ts1, ts2)
+      if (c == 0) c = Integer.compare(f1, f2)
+      if (c == 0) c = java.lang.Double.compare(x1, x2)
+      if (c == 0) c = java.lang.Double.compare(y1, y2)
       c
     }
+
+    /** Records `i` and `j` of `t` compared. */
+    def compare(t: Track, i: Int, j: Int): Int =
+      fields(t.ts(i), t.floor(i), t.x(i), t.y(i), t.ts(j), t.floor(j), t.x(j), t.y(j))
   }
 
-  /** Clean one device's records (must be one device; need not be sorted).
-    * Exposed for tests; the Spark entry point is [[clean]]. */
+  /** The indices of `t`'s records in [[ByTsThenFields]] order, equal
+    * records in column order, keeping the first record of each timestamp.
+    *
+    * When the timestamps span less than 2^31 s, as any real feed's do, one
+    * primitive sort of `(ts - min) << 32 | index` orders them by time and
+    * index, and the runs that share a timestamp (duplicates, rare) are
+    * ordered by the other fields with a stable insertion sort. Otherwise
+    * the indices are sorted boxed, with the whole order. */
+  private[core] def distinctByTs(t: Track): Array[Int] = {
+    val n = t.length
+    val ts = t.ts
+    val order = new Array[Int](n)
+    if (n == 0) return order
+    var lo = ts(0); var hi = ts(0)
+    var i = 1
+    while (i < n) { lo = math.min(lo, ts(i)); hi = math.max(hi, ts(i)); i += 1 }
+    val span = hi - lo // negative when it overflows
+    if (span >= 0 && span < (1L << 31)) {
+      val keys = new Array[Long](n)
+      i = 0
+      while (i < n) { keys(i) = ((ts(i) - lo) << 32) | i; i += 1 }
+      java.util.Arrays.sort(keys)
+      i = 0
+      while (i < n) { order(i) = keys(i).toInt; i += 1 }
+      i = 1
+      while (i < n) {
+        val o = order(i)
+        var j = i
+        while (j > 0 && ts(order(j - 1)) == ts(o) && ByTsThenFields.compare(t, order(j - 1), o) > 0) {
+          order(j) = order(j - 1); j -= 1
+        }
+        order(j) = o
+        i += 1
+      }
+    } else {
+      val boxed = Array.tabulate[Integer](n)(Integer.valueOf)
+      java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => ByTsThenFields.compare(t, a, b))
+      i = 0
+      while (i < n) { order(i) = boxed(i); i += 1 }
+    }
+    var m = 0
+    i = 0
+    while (i < n) {
+      if (m == 0 || ts(order(m - 1)) != ts(order(i))) { order(m) = order(i); m += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(order, m)
+  }
+
+  /** Clean one device's records (must be one device; need not be sorted):
+    * [[cleanTrack]] of their columns. */
   def cleanDevice(dsm: Dsm, records: Seq[PosRecord],
                   maxSpeed: Double = DefaultMaxSpeed,
-                  noiseSlack: Double = DefaultNoiseSlack): Vector[CleanRecord] = {
-    // Sort once and drop duplicate timestamps in place, keeping the first in
+                  noiseSlack: Double = DefaultNoiseSlack): Vector[CleanRecord] =
+    if (records.isEmpty) Vector.empty
+    else cleanTrack(dsm, Track.of(records), maxSpeed, noiseSlack).records(records.head.deviceId)
+
+  /** Clean one device's track, in one flat loop over columns: one cleaned
+    * record per distinct timestamp, in time order, each with the region
+    * index of its location, which the Cleaner locates anyway. */
+  private[repro] def cleanTrack(dsm: Dsm, track: Track,
+                                maxSpeed: Double = DefaultMaxSpeed,
+                                noiseSlack: Double = DefaultNoiseSlack): CleanTrack = {
+    // Sort once and drop duplicate timestamps, keeping the first in
     // `ByTsThenFields` order, so the result does not depend on input order.
-    val rs = records.toArray.sortInPlace()(ByTsThenFields)
-    var n = 0 // rs(0 until n) are the records to clean
-    for (r <- rs) if (n == 0 || rs(n - 1).ts != r.ts) { rs(n) = r; n += 1 }
-    if (n == 0) return Vector.empty
+    val idx = distinctByTs(track)
+    val n = idx.length
+    val ts = idx.map(i => track.ts(i))
+    val xs = idx.map(i => track.x(i))
+    val ys = idx.map(i => track.y(i))
+    val fl = idx.map(i => track.floor(i))
+    // Each record's output: the timestamps stay, the rest is written by `keep`.
+    val out = new CleanTrack(ts, new Array[Double](n), new Array[Double](n), new Array[Int](n),
+                             new Array[Byte](n), new Array[Int](n))
+    if (n == 0) return out
 
     // Each record is located in the DSM once; a floor-substituted candidate
     // is located only when it is tried.
-    val loc = Array.tabulate(n)(i => dsm.locate(rs(i).point))
+    val loc = Array.tabulate(n)(i => dsm.locate(IndoorPoint(xs(i), ys(i), fl(i))))
 
     def ok(from: Located, fromTs: Long, to: Located, toTs: Long): Boolean = {
       val dt = (toTs - fromTs).toDouble
-      dt > 0 && math.max(0.0, dsm.minWalkDist(from, to) - noiseSlack) / dt <= maxSpeed
+      dt > 0 && dsm.walkWithin(from, to)(d => math.max(0.0, d - noiseSlack) / dt <= maxSpeed)
     }
 
-    val out = Vector.newBuilder[CleanRecord]
-    var last: CleanRecord = null // the last kept record and its location,
-    var lastLoc: Located = null  // set by `keep`
-    def keep(ts: Long, x: Double, y: Double, floor: Int, located: Located, repair: String): Unit = {
-      last = CleanRecord(rs(0).deviceId, ts, x, y, floor, repair)
+    // The last kept record is record `kept - 1` of `out`; `lastLoc` is its location.
+    var kept = 0
+    var lastLoc: Located = null
+    def keep(x: Double, y: Double, floor: Int, located: Located, repair: Byte): Unit = {
+      out.x(kept) = x; out.y(kept) = y; out.floor(kept) = floor
+      out.repair(kept) = repair; out.region(kept) = located.idx
       lastLoc = located
-      out += last
+      kept += 1
     }
+    def lastTs = ts(kept - 1)
+    def lastFloor = out.floor(kept - 1)
+    def lastPoint = IndoorPoint(out.x(kept - 1), out.y(kept - 1), lastFloor)
 
     def ahead(i: Int): Range = i + 1 until math.min(i + 1 + Lookahead, n)
 
@@ -101,10 +182,9 @@ object Cleaner {
     // record disagree, and pinning the device to the old floor would
     // cascade the error through the rest of the trace.
     def onLastFloor(i: Int): Option[Located] = {
-      val r = rs(i)
       val look = ahead(i)
-      if (r.floor == last.floor || !(look.isEmpty || look.exists(j => rs(j).floor == last.floor))) None
-      else Some(dsm.locate(IndoorPoint(r.x, r.y, last.floor))).filter(ok(lastLoc, last.ts, _, r.ts))
+      if (fl(i) == lastFloor || !(look.isEmpty || look.exists(j => fl(j) == lastFloor))) None
+      else Some(dsm.locate(IndoorPoint(xs(i), ys(i), lastFloor))).filter(ok(lastLoc, lastTs, _, ts(i)))
     }
 
     // `reanchor` bounds a repair cascade (e.g. after an earlier repair went
@@ -113,8 +193,8 @@ object Cleaner {
     def reanchors(i: Int): Boolean = {
       val votes = ahead(i).take(3)
       votes.size >= 2 &&
-        votes.count(j => ok(loc(i), rs(i).ts, loc(j), rs(j).ts)) >= 2 &&
-        !votes.exists(j => ok(lastLoc, last.ts, loc(j), rs(j).ts))
+        votes.count(j => ok(loc(i), ts(i), loc(j), ts(j))) >= 2 &&
+        !votes.exists(j => ok(lastLoc, lastTs, loc(j), ts(j)))
     }
 
     // `interp`: the device's apparent floor is the majority floor of the
@@ -125,40 +205,41 @@ object Cleaner {
     def interpolate(i: Int): IndoorPoint = {
       val look = ahead(i)
       val majorityFloor =
-        if (look.isEmpty) rs(i).floor
-        else look.map(j => rs(j).floor).groupBy(identity)
-          .maxBy { case (f, v) => (v.size, f == last.floor) }._1
-      def okAsIs(j: Int) = ok(lastLoc, last.ts, loc(j), rs(j).ts)
+        if (look.isEmpty) fl(i)
+        else look.map(j => fl(j)).groupBy(identity)
+          .maxBy { case (f, v) => (v.size, f == lastFloor) }._1
+      def okAsIs(j: Int) = ok(lastLoc, lastTs, loc(j), ts(j))
       val anchor: Option[(Located, Long)] =
-        look.find(j => rs(j).floor == majorityFloor && okAsIs(j))
+        look.find(j => fl(j) == majorityFloor && okAsIs(j))
           .orElse(look.find(okAsIs))
-          .map(j => (loc(j), rs(j).ts))
+          .map(j => (loc(j), ts(j)))
           .orElse {
-            if (majorityFloor != last.floor) None
+            if (majorityFloor != lastFloor) None
             else look.iterator.map { j =>
-              (dsm.locate(IndoorPoint(rs(j).x, rs(j).y, last.floor)), rs(j).ts)
-            }.find { case (target, ts) => ok(lastLoc, last.ts, target, ts) }
+              (dsm.locate(IndoorPoint(xs(j), ys(j), lastFloor)), ts(j))
+            }.find { case (target, t) => ok(lastLoc, lastTs, target, t) }
           }
-      anchor.fold(last.point) { case (target, targetTs) =>
-        val frac = (rs(i).ts - last.ts).toDouble / (targetTs - last.ts).toDouble
-        dsm.walk(lastLoc, target).fold(last.point)(_.at(frac))
+      anchor.fold(lastPoint) { case (target, targetTs) =>
+        val frac = (ts(i) - lastTs).toDouble / (targetTs - lastTs).toDouble
+        dsm.walk(lastLoc, target).fold(lastPoint)(_.at(frac))
       }
     }
 
     val first = if (loc(0).region.isDefined) 0 else math.max(0, loc.indexWhere(_.region.isDefined))
-    keep(rs(0).ts, rs(first).x, rs(first).y, rs(first).floor, loc(first), if (first == 0) "none" else "interp")
-    for (i <- 1 until n) {
-      val r = rs(i)
-      if (ok(lastLoc, last.ts, loc(i), r.ts)) keep(r.ts, r.x, r.y, r.floor, loc(i), "none")
+    keep(xs(first), ys(first), fl(first), loc(first), if (first == 0) AsIs else Interp)
+    var i = 1
+    while (i < n) {
+      if (ok(lastLoc, lastTs, loc(i), ts(i))) keep(xs(i), ys(i), fl(i), loc(i), AsIs)
       else onLastFloor(i) match {
-        case Some(fixed)          => keep(r.ts, r.x, r.y, last.floor, fixed, "floor")
-        case None if reanchors(i) => keep(r.ts, r.x, r.y, r.floor, loc(i), "reanchor")
+        case Some(fixed)          => keep(xs(i), ys(i), lastFloor, fixed, Floor)
+        case None if reanchors(i) => keep(xs(i), ys(i), fl(i), loc(i), Reanchor)
         case None                 =>
           val p = interpolate(i)
-          keep(r.ts, p.x, p.y, p.floor, dsm.locate(p), "interp")
+          keep(p.x, p.y, p.floor, dsm.locate(p), Interp)
       }
+      i += 1
     }
-    out.result()
+    out
   }
 
   /** Clean all devices' records, device-parallel, through a
@@ -168,7 +249,8 @@ object Cleaner {
     * the translation's shuffle instead. */
   def clean(spark: SparkSession, raw: Dataset[PosRecord], dsm: Broadcast[Dsm],
             maxSpeed: Double = DefaultMaxSpeed): Dataset[CleanRecord] = {
-    import spark.implicits._
-    PerDevice.tracks(raw).flatMap { case (_, rs) => cleanDevice(dsm.value, rs, maxSpeed) }.toDS()
+    spark.createDataset(PerDevice.tracks(raw).flatMap { case (id, t) =>
+      cleanTrack(dsm.value, t, maxSpeed).records(id)
+    })(Translator.CleanRecordEncoder)
   }
 }

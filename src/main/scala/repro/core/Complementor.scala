@@ -40,40 +40,70 @@ object Complementor {
 
   /** Infer the MAP region path from → to (exclusive of endpoints).
     * Returns None when the regions are not connected; Some(Nil) when they
-    * are identical or adjacent (nothing between them).
+    * are identical or adjacent (nothing between them). The search runs on
+    * region indices over `km`'s [[Graph]] on `dsm`.
     */
-  def mapPath(dsm: Dsm, km: KnowledgeModel, from: String, to: String): Option[List[String]] = {
-    if (from == to) return Some(Nil)
-    // Dijkstra over -log P(next | cur) restricted to region adjacency.
-    final case class Node(cost: Double, region: String)
-    implicit val ord: Ordering[Node] = Ordering.by((n: Node) => -n.cost)
-    val pq = mutable.PriorityQueue(Node(0.0, from))
-    val best = mutable.Map(from -> 0.0)
-    val parent = mutable.Map.empty[String, String]
-    while (pq.nonEmpty) {
-      val Node(cost, cur) = pq.dequeue()
-      if (cur == to) {
-        // Reconstruct, drop endpoints.
-        var path = List.empty[String]
-        var c = to
-        while (c != from) { path = c :: path; c = parent(c) }
-        return Some(path.dropRight(1))
-      }
-      if (cost <= best.getOrElse(cur, Double.MaxValue)) {
-        val nexts = dsm.adjacentRegions(cur)
-        val mass = km.mass(cur, nexts)
-        nexts.foreach { nxt =>
-          val p = km.prob(cur, nxt, mass)
-          val nc = cost - math.log(math.max(p, 1e-12))
-          if (nc < best.getOrElse(nxt, Double.MaxValue)) {
-            best(nxt) = nc; parent(nxt) = cur
-            pq.enqueue(Node(nc, nxt))
+  def mapPath(dsm: Dsm, km: KnowledgeModel, from: String, to: String): Option[List[String]] =
+    if (from == to) Some(Nil)
+    else (dsm.regionIndex.get(from), dsm.regionIndex.get(to)) match {
+      case (Some(f), Some(t)) => km.graphOn(dsm).path(f, t).map(_.map(dsm.regions(_).id))
+      case _                  => None
+    }
+
+  /** The MAP search's graph: each region's neighbours in the iteration
+    * order of `dsm.adjacentRegions`, and the weight `-log P(next | cur)` of
+    * each edge, `P` smoothed over the region's neighbours as
+    * `KnowledgeModel.prob` smooths it. Built once per knowledge and DSM (see
+    * `KnowledgeModel.graphOn`). */
+  private[core] final class Graph(val dsm: Dsm, km: KnowledgeModel) {
+    private val next: Array[Array[Int]] =
+      dsm.regions.map(r => dsm.adjacentRegions(r.id).iterator.map(dsm.regionIndex).toArray).toArray
+    private val weight: Array[Array[Double]] = dsm.regions.indices.map { r =>
+      val from = dsm.regions(r).id
+      val mass = km.mass(from, dsm.adjacentRegions(from))
+      next(r).map(n => -math.log(math.max(km.prob(from, dsm.regions(n).id, mass), 1e-12)))
+    }.toArray
+
+    /** Dijkstra over the weights, from region index `from` to `to` (which
+      * differ): the intermediate regions of the cheapest path, None when
+      * `to` is unreachable. Ties in cost dequeue in the order the queue
+      * received them, neighbours in `adjacentRegions` order. */
+    def path(from: Int, to: Int): Option[List[Int]] = {
+      val pq = mutable.PriorityQueue(Node(0.0, from))
+      val best = Array.fill(next.length)(Double.MaxValue)
+      best(from) = 0.0
+      val parent = new Array[Int](next.length)
+      while (pq.nonEmpty) {
+        val Node(cost, cur) = pq.dequeue()
+        if (cur == to) {
+          // Reconstruct, drop endpoints.
+          var path = List.empty[Int]
+          var c = to
+          while (c != from) { path = c :: path; c = parent(c) }
+          return Some(path.dropRight(1))
+        }
+        if (cost <= best(cur)) {
+          val ns = next(cur)
+          val ws = weight(cur)
+          var k = 0
+          while (k < ns.length) {
+            val nxt = ns(k)
+            val nc = cost + ws(k)
+            if (nc < best(nxt)) {
+              best(nxt) = nc; parent(nxt) = cur
+              pq.enqueue(Node(nc, nxt))
+            }
+            k += 1
           }
         }
       }
+      None
     }
-    None
   }
+
+  /** A queued region and its path cost; the queue yields the cheapest. */
+  private final case class Node(cost: Double, region: Int)
+  private implicit val NodeOrder: Ordering[Node] = Ordering.by((n: Node) => -n.cost)
 
   /** Expected seconds to cross a region (half-perimeter walk at pace). */
   def transitSeconds(dsm: Dsm, regionId: String): Double = {

@@ -27,28 +27,35 @@ object Features {
     * jitter-filtered points as they are kept.
     */
   def of(deviceId: String, snippetId: Int, records: Seq[CleanRecord]): SnippetFeatures = {
-    require(records.nonEmpty, "features of empty snippet")
     val n = records.size
     val xs = new Array[Double](n)
     val ys = new Array[Double](n)
     val ts = new Array[Long](n)
     var k = 0
     records.foreach { r => xs(k) = r.x; ys(k) = r.y; ts(k) = r.ts; k += 1 }
-    val duration = math.max(1L, ts(n - 1) - ts(0)).toDouble
+    of(deviceId, snippetId, ts, xs, ys, 0, n)
+  }
+
+  /** [[of]] the records `from until until` of the columns `ts`, `xs`, `ys`. */
+  private[repro] def of(deviceId: String, snippetId: Int, ts: Array[Long], xs: Array[Double],
+                        ys: Array[Double], from: Int, until: Int): SnippetFeatures = {
+    require(until > from, "features of empty snippet")
+    val n = until - from
+    val duration = math.max(1L, ts(until - 1) - ts(from)).toDouble
 
     var pathLen, maxSpeed, sumX, sumY = 0.0
-    var xMin, xMax = xs(0)
-    var yMin, yMax = ys(0)
+    var xMin, xMax = xs(from)
+    var yMin, yMax = ys(from)
     // Turns: the last kept point and the heading into it, which exists
     // once two points are kept. Consecutive kept points are at least
     // TurnMinStep apart, so they differ and each pair has a heading.
     var mx, my, lastHeading = 0.0
     var kept = 0
     var nTurns = 0
-    var i = 0
-    while (i < n) {
+    var i = from
+    while (i < until) {
       val x = xs(i); val y = ys(i)
-      if (i > 0) {
+      if (i > from) {
         val step = math.hypot(xs(i - 1) - x, ys(i - 1) - y)
         pathLen += step
         if (ts(i) > ts(i - 1)) maxSpeed = math.max(maxSpeed, step / (ts(i) - ts(i - 1)))
@@ -73,8 +80,8 @@ object Features {
     val cx = sumX / n
     val cy = sumY / n
     var sq = 0.0
-    i = 0
-    while (i < n) {
+    i = from
+    while (i < until) {
       val dx = xs(i) - cx; val dy = ys(i) - cy
       sq += dx * dx + dy * dy
       i += 1

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import repro.core.Schema._
+import repro.indoor.Dsm
 
 /** Knowledge construction (Complementing layer, step 1).
   *
@@ -52,6 +53,18 @@ object Knowledge {
     /** Most likely event annotation for a semantics inferred in a region. */
     def dominantEvent(regionId: String): String =
       if (stayShare.getOrElse(regionId, 0.0) >= 0.5) Stay else PassBy
+
+    /** The last graph `graphOn` built, and the DSM it was built on. */
+    @transient @volatile private var graph: Complementor.Graph = _
+
+    /** `Complementor.mapPath`'s graph of this knowledge on `dsm`: built on
+      * the first call for `dsm` and kept, so each JVM builds it once per
+      * broadcast model and DSM. */
+    private[core] def graphOn(dsm: Dsm): Complementor.Graph = {
+      val g = graph
+      if (g != null && (g.dsm eq dsm)) g
+      else { val built = new Complementor.Graph(dsm, this); graph = built; built }
+    }
   }
 
   /** Per-region tallies: summed annotated duration (s), `stay` semantics,

@@ -3,9 +3,13 @@ package repro.core
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, Encoder}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType, StringType}
+import org.apache.spark.unsafe.types.UTF8String
 import repro.core.Schema.PosRecord
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** The one per-device grouping idiom: of `Translator.translate`, the
   * layers' Spark entry points, the Event Editor's example cut and the
@@ -32,31 +36,53 @@ import scala.collection.mutable
   */
 private[repro] object PerDevice {
 
-  /** Each device's raw records of `raw`, one element per device, in one
-    * partition per core; a partition lists its devices in sorted id order. */
-  def tracks(raw: Dataset[PosRecord]): RDD[(String, Vector[PosRecord])] =
-    raw.rdd
-      .mapPartitions(it => groups(it)(_.deviceId).map { case (id, rs) => id -> Track(rs) })
-      .partitionBy(new HashPartitioner(raw.sparkSession.sparkContext.defaultParallelism))
-      .mapPartitions(it => groups(it)(_._1).map { case (id, fs) =>
-        id -> fs.iterator.flatMap(_._2.records(id)).toVector
-      })
-
-  /** One input partition's records of one device, as columns. */
-  private final class Track(ts: Array[Long], x: Array[Double], y: Array[Double], floor: Array[Int])
-    extends Serializable {
-    def records(deviceId: String): Iterator[PosRecord] =
-      ts.indices.iterator.map(i => PosRecord(deviceId, ts(i), x(i), y(i), floor(i)))
+  /** Each device's raw records of `raw` as one [[Track]], one element per
+    * device, in one partition per core; a partition lists its devices in
+    * sorted id order. The map side reads the rows of `raw`'s plan (the
+    * cached input's own rows, when it is cached) into columns, with no
+    * [[PosRecord]] per row. */
+  def tracks(raw: Dataset[PosRecord]): RDD[(String, Track)] = {
+    val (rows, Array(id, ts, x, y, floor), nullable) = columns(raw)
+    rows.mapPartitions { it =>
+      // The rows are reused buffers: each value is copied out at once, and
+      // the device id only when it is a new key. A row of the same device
+      // as the row before it (the usual case) skips the hash lookup.
+      val byId = new java.util.HashMap[UTF8String, Track.Builder]()
+      var lastKey: UTF8String = null
+      var last: Track.Builder = null
+      it.foreach { r =>
+        nullable.foreach(k => if (r.isNullAt(k)) throw new NullPointerException(
+          "a null ts, x, y or floor: PosRecord's fields are primitive"))
+        val key = r.getUTF8String(id)
+        if (lastKey == null || lastKey != key) {
+          lastKey = key.copy()
+          last = byId.get(lastKey)
+          if (last == null) { last = new Track.Builder; byId.put(lastKey, last) }
+        }
+        last.add(r.getLong(ts), r.getDouble(x), r.getDouble(y), r.getInt(floor))
+      }
+      byId.entrySet.iterator.asScala.map(e => e.getKey.toString -> e.getValue.result())
+    }.partitionBy(new HashPartitioner(raw.sparkSession.sparkContext.defaultParallelism))
+      .mapPartitions(it => groups(it)(_._1).map { case (id, fs) => id -> Track.concat(fs.map(_._2)) })
   }
 
-  private object Track {
-    def apply(rs: Vector[PosRecord]): Track = {
-      val (ts, x, y, floor) = (new Array[Long](rs.length), new Array[Double](rs.length),
-                               new Array[Double](rs.length), new Array[Int](rs.length))
-      var i = 0
-      rs.foreach { r => ts(i) = r.ts; x(i) = r.x; y(i) = r.y; floor(i) = r.floor; i += 1 }
-      new Track(ts, x, y, floor)
-    }
+  /** [[PosRecord]]'s fields and their column types. */
+  private val PosColumns = Seq("deviceId" -> StringType, "ts" -> LongType, "x" -> DoubleType,
+                               "y" -> DoubleType, "floor" -> IntegerType)
+
+  /** The rows of `raw`'s plan, the ordinal of each of [[PosColumns]] in
+    * them, bound once by name, and the ordinals of the numeric columns that
+    * may hold a null. When a column has another type than its field, as
+    * `as[PosRecord]` allows (an int `ts`), the rows are those of a
+    * projection that casts each column, by name, to its field's type. */
+  private def columns(raw: Dataset[PosRecord]): (RDD[InternalRow], Array[Int], Array[Int]) = {
+    val typed = PosColumns.forall { case (n, t) => raw.schema.exists(f => f.name == n && f.dataType == t) }
+    val qe =
+      if (typed) raw.queryExecution
+      else raw.select(PosColumns.map { case (n, t) => col(n).cast(t).as(n) }: _*).queryExecution
+    val schema = qe.analyzed.schema
+    val ordinals = PosColumns.map { case (n, _) => schema.fieldIndex(n) }.toArray
+    (qe.toRdd, ordinals, ordinals.tail.filter(schema(_).nullable))
   }
 
   /** The rows of `it` grouped by `deviceId`, each device with its rows in

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.Knowledge.{RegionTally, Summary}
 import repro.core.Schema._
 import repro.indoor.Dsm
 import scala.collection.mutable
@@ -21,23 +22,16 @@ private[core] final class SemanticsBlock(val deviceIds: Array[String], val count
 
   /** Each device's semantics, in the order they were encoded. */
   def devices(dsm: Dsm): Iterator[(String, Vector[Semantic])] = {
-    var pos = 0
-    def next(): Long = {
-      var z = 0L
-      var shift = 0
-      var b = 0
-      while ({ b = data(pos); pos += 1; z |= (b & 0x7FL) << shift; shift += 7; (b & 0x80) != 0 }) ()
-      (z >>> 1) ^ -(z & 1)
-    }
+    val in = new Reader
     deviceIds.indices.iterator.map { d =>
       val id = deviceIds(d)
       val out = Vector.newBuilder[Semantic]
       var prevEnd = 0L
       var i = 0
       while (i < counts(d)) {
-        val tStart = prevEnd + next()
-        val tEnd = tStart + next()
-        val re = next()
+        val tStart = prevEnd + in.next()
+        val tEnd = tStart + in.next()
+        val re = in.next()
         val region = dsm.regions((re >>> 1).toInt)
         out += Semantic(id, i, if ((re & 1) == 1) Stay else PassBy, region.tag, region.id,
                         tStart, tEnd, source = "annotated")
@@ -47,6 +41,53 @@ private[core] final class SemanticsBlock(val deviceIds: Array[String], val count
       id -> out.result()
     }
   }
+
+  /** The knowledge the block's devices contribute: `Summary.ofDevice` of
+    * each device's semantics, merged, read from the encoding by region
+    * index, with no [[Semantic]] built. */
+  def summary(dsm: Dsm): Summary = {
+    val in = new Reader
+    val moves = mutable.HashMap.empty[Long, Long] // (from << 32 | to) -> count
+    val n = dsm.regions.size
+    val (dwellSum, stays, count) = (new Array[Long](n), new Array[Long](n), new Array[Long](n))
+    deviceIds.indices.foreach { d =>
+      var prevEnd = 0L
+      var prevRegion = -1
+      var i = 0
+      while (i < counts(d)) {
+        val tStart = prevEnd + in.next()
+        val tEnd = tStart + in.next()
+        val re = in.next()
+        val r = (re >>> 1).toInt
+        if (i > 0 && r != prevRegion) {
+          val key = (prevRegion.toLong << 32) | r
+          moves(key) = moves.getOrElse(key, 0L) + 1
+        }
+        dwellSum(r) += tEnd - tStart
+        if ((re & 1) == 1) stays(r) += 1
+        count(r) += 1
+        prevEnd = tEnd
+        prevRegion = r
+        i += 1
+      }
+    }
+    def id(r: Long) = dsm.regions(r.toInt).id
+    Summary(moves.iterator.map { case (k, c) => (id(k >>> 32), id(k & 0xFFFFFFFFL)) -> c }.toMap,
+            (0 until n).iterator.filter(count(_) > 0)
+              .map(r => id(r) -> RegionTally(dwellSum(r), stays(r), count(r))).toMap)
+  }
+
+  /** Reads the zigzag varints of `data` in order. */
+  private final class Reader {
+    private var pos = 0
+    def next(): Long = {
+      var z = 0L
+      var shift = 0
+      var b = 0
+      while ({ b = data(pos); pos += 1; z |= (b & 0x7FL) << shift; shift += 7; (b & 0x80) != 0 }) ()
+      (z >>> 1) ^ -(z & 1)
+    }
+  }
 }
 
 private[core] object SemanticsBlock {
@@ -54,7 +95,7 @@ private[core] object SemanticsBlock {
   /** The block of `devices`' annotated semantics, each device's in `seqNo`
     * order as [[Annotator.annotateDevice]] emits them. */
   def encode(dsm: Dsm, devices: IterableOnce[(String, Seq[Semantic])]): SemanticsBlock = {
-    val index = dsm.regions.iterator.map(_.id).zipWithIndex.toMap
+    val index = dsm.regionIndex
     val ids = mutable.ArrayBuilder.make[String]
     val counts = mutable.ArrayBuilder.make[Int]
     val data = mutable.ArrayBuilder.make[Byte]

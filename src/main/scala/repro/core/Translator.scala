@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import repro.core.Knowledge.Summary
 import repro.core.Schema._
 import repro.indoor.Dsm
@@ -41,11 +41,16 @@ object Translator {
     * device again on each action, from the same grouping the pass read: it
     * runs only the reduce side of the pass's shuffle, over output Spark
     * already holds. They are the records the semantics came from, since
-    * cleaning is deterministic. */
-  final case class Result(cleaned: Dataset[CleanRecord],
-                          annotated: Dataset[Semantic],
-                          knowledge: Knowledge.KnowledgeModel,
-                          semantics: Dataset[Semantic])(blocks: RDD[_], broadcasts: Seq[Broadcast[_]]) {
+    * cleaning is deterministic. `cleaned` and `annotated` are built on
+    * first read: a caller that reads only `semantics` pays for neither
+    * Dataset. */
+  final class Result private[core] (cleanedRows: => Dataset[CleanRecord],
+                                    annotatedRows: => Dataset[Semantic],
+                                    val knowledge: Knowledge.KnowledgeModel,
+                                    val semantics: Dataset[Semantic],
+                                    blocks: RDD[_], broadcasts: Seq[Broadcast[_]]) {
+    lazy val cleaned: Dataset[CleanRecord] = cleanedRows
+    lazy val annotated: Dataset[Semantic] = annotatedRows
 
     /** Release the cached blocks and the DSM and knowledge broadcasts the
       * translation created. The Result's Datasets are unusable afterwards. */
@@ -55,21 +60,25 @@ object Translator {
     }
   }
 
+  /** The row encoders of `Result`, derived once per JVM: `spark.implicits`
+    * derives a product encoder by reflection on each call. */
+  private[repro] lazy val CleanRecordEncoder: Encoder[CleanRecord] = Encoders.product[CleanRecord]
+  private[repro] lazy val SemanticEncoder: Encoder[Semantic] = Encoders.product[Semantic]
+
   /** Translate the selected raw positioning sequences into mobility
     * semantics sequences. The pass groups the records by device with
-    * [[PerDevice.tracks]], cleans and annotates each device and caches
-    * one [[SemanticsBlock]] per partition, named "translate: annotated
-    * blocks" in Spark's storage status. The `collect` of the blocks'
-    * knowledge summaries is the job that fills that cache; it and the
-    * shuffle run under the job description "translate: pass + knowledge",
-    * and the caller's description is restored afterwards (the job group is
-    * left as it is). The complement is a `flatMap` over the cached blocks:
-    * every device's semantics sit in the block of the partition it went
-    * through.
+    * [[PerDevice.tracks]], cleans and annotates each device's track and
+    * caches one [[SemanticsBlock]] per partition, named "translate:
+    * annotated blocks" in Spark's storage status. The `collect` of the
+    * blocks' knowledge summaries is the job that fills that cache; it and
+    * the shuffle run under the job description "translate: pass +
+    * knowledge", and the caller's description is restored afterwards (the
+    * job group is left as it is). The complement is a `flatMap` over the
+    * cached blocks: every device's semantics sit in the block of the
+    * partition it went through.
     */
   def translate(spark: SparkSession, raw: Dataset[PosRecord], dsm: Dsm,
                 model: EventModel, cfg: Config = Config()): Result = {
-    import spark.implicits._
     val sc = spark.sparkContext
     val b = sc.broadcast(dsm)
     val caller = sc.getLocalProperty(JobDescription)
@@ -78,22 +87,23 @@ object Translator {
     val (blocks, km) = try {
       val blocks = tracks.mapPartitions { it =>
         val d = b.value
-        Iterator(SemanticsBlock.encode(d, it.map { case (id, rs) =>
-          id -> Annotator.annotateDevice(d, model, Cleaner.cleanDevice(d, rs, cfg.maxSpeed), cfg.annotator)
+        Iterator(SemanticsBlock.encode(d, it.map { case (id, t) =>
+          id -> Annotator.annotateTrack(d, model, id, Cleaner.cleanTrack(d, t, cfg.maxSpeed), cfg.annotator)
         }))
       }.setName("translate: annotated blocks").cache()
-      val km = Summary.mergeAll(blocks.map { block =>
-        Summary.mergeAll(block.devices(b.value).map { case (_, ss) => Summary.ofDevice(ss) })
-      }.collect()).toModel(cfg.knowledgeAlpha)
+      val km = Summary.mergeAll(blocks.map(_.summary(b.value)).collect()).toModel(cfg.knowledgeAlpha)
       (blocks, km)
     } finally sc.setLocalProperty(JobDescription, caller)
     val bk = sc.broadcast(km)
-    val annotated = blocks.flatMap(_.devices(b.value).flatMap(_._2))
     val semantics = blocks.flatMap(_.devices(b.value).flatMap { case (_, ss) =>
       Complementor.complementDevice(b.value, bk.value, ss, cfg.gapThreshold)
     })
-    val cleaned = tracks.flatMap { case (_, rs) => Cleaner.cleanDevice(b.value, rs, cfg.maxSpeed) }
-    Result(cleaned.toDS(), annotated.toDS(), km, semantics.toDS())(blocks, Seq(b, bk))
+    new Result(
+      spark.createDataset(tracks.flatMap { case (id, t) =>
+        Cleaner.cleanTrack(b.value, t, cfg.maxSpeed).records(id)
+      })(CleanRecordEncoder),
+      spark.createDataset(blocks.flatMap(_.devices(b.value).flatMap(_._2)))(SemanticEncoder),
+      km, spark.createDataset(semantics)(SemanticEncoder), blocks, Seq(b, bk))
   }
 
   /** The local property `SparkContext.setJobDescription` sets. */

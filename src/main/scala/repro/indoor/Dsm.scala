@@ -71,6 +71,10 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
   @transient lazy val regionById: Map[String, Region] =
     regions.map(r => r.id -> r).toMap
 
+  /** Each region's index in `regions`, by id. */
+  @transient lazy val regionIndex: Map[String, Int] =
+    regions.iterator.map(_.id).zipWithIndex.toMap
+
   @transient lazy val regionsOnFloor: Map[Int, IndexedSeq[Region]] =
     regions.groupBy(_.floor).withDefaultValue(IndexedSeq.empty)
 
@@ -161,7 +165,7 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     // Inside, the snap equals p, which no region before `first` contains;
     // outside, the snap lies on region k's wall, which earlier regions may
     // share.
-    val idx = fl.ids(fl.smallestContaining(sx, sy, from = math.max(first, 0)))
+    val idx = fl.ids(fl.smallestContaining(sx, sy, k, from = math.max(first, 0)))
     new Located(IndoorPoint(sx, sy, p.floor), idx, region(idx))
   }
 
@@ -169,13 +173,16 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
     * the walls, the smallest-area one where regions touch; None off the
     * map. A point inside a region is its own snap, so its lookup builds no
     * [[Dsm.Located]]. */
-  def regionAtSnapped(p: IndoorPoint): Option[Region] = {
+  def regionAtSnapped(p: IndoorPoint): Option[Region] = region(regionIdxAtSnapped(p))
+
+  /** The index in `regions` of [[regionAtSnapped]]`(p)`, -1 off the map. */
+  def regionIdxAtSnapped(p: IndoorPoint): Int = {
     val fl = floorOf(p)
-    if (fl == null) None
+    if (fl == null) -1
     else {
       val first = fl.firstContaining(p.x, p.y)
-      if (first >= 0) region(fl.ids(fl.smallestContaining(p.x, p.y, first)))
-      else locate(p, fl, first).region
+      if (first >= 0) fl.ids(fl.smallestContaining(p.x, p.y, first, first))
+      else locate(p, fl, first).idx
     }
   }
 
@@ -239,6 +246,15 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
   /** [[minWalkDist]] between already-located points. */
   def minWalkDist(a: Located, b: Located): Double =
     route(a, b).fold(Double.PositiveInfinity)(_.cost)
+
+  /** Whether `within` holds for [[minWalkDist]]`(a, b)`; `within` must hold
+    * for every distance shorter than one it holds for, as a bound on speed
+    * does. Inside one region the distance is the `hypot` of the planar
+    * offset, which `Geometry.hypotWithin` computes only when a cheaper
+    * bracket cannot decide. */
+  def walkWithin(a: Located, b: Located)(within: Double => Boolean): Boolean =
+    if (a.idx >= 0 && a.idx == b.idx) hypotWithin(a.point.x - b.point.x, a.point.y - b.point.y)(within)
+    else within(minWalkDist(a, b))
 
   /** The shortest indoor walk a→b: its walking distance (== [[minWalkDist]])
     * and its cost-weighted steps. None when unreachable. */
@@ -304,9 +320,10 @@ final class Dsm(val regions: IndexedSeq[Region], val doors: IndexedSeq[Door])
 object Dsm {
 
   /** A point located by [[Dsm.locate]]: `point` is the input snapped inside
-    * the walls, `region` the region holding it (None off the map). Only
-    * meaningful for the DSM that produced it. */
-  final class Located private[indoor] (val point: IndoorPoint, private[indoor] val idx: Int,
+    * the walls, `region` the region holding it (None off the map) and `idx`
+    * that region's index in `Dsm.regions` (-1 off the map). Only meaningful
+    * for the DSM that produced it. */
+  final class Located private[indoor] (val point: IndoorPoint, val idx: Int,
                                        val region: Option[Region])
 
   /** One hop of a walking path: the waypoint reached and the walking cost
@@ -371,16 +388,26 @@ object Dsm {
       -1
     }
 
-    /** The smallest-area region containing (x, y), the first on ties; -1
-      * when none does. The scan starts at `from`: no region before it may
-      * contain (x, y). */
-    def smallestContaining(x: Double, y: Double, from: Int): Int = {
+    /** For each region, the regions whose bounds meet its bounds, itself
+      * included, ascending: the only ones that can hold a point it holds. */
+    private val meeting: Array[Array[Int]] = Array.tabulate(ids.length) { k =>
+      ids.indices.filter(j => xMin(j) <= xMax(k) && xMin(k) <= xMax(j) &&
+                              yMin(j) <= yMax(k) && yMin(k) <= yMax(j)).toArray
+    }
+
+    /** The smallest-area region containing (x, y), which region `in`
+      * contains, the first on ties. The scan visits the regions meeting
+      * `in` from `from` on: no region before `from` may contain (x, y). */
+    def smallestContaining(x: Double, y: Double, in: Int, from: Int): Int = {
+      val candidates = meeting(in)
       var best = -1
-      var k = from
-      while (k < ids.length) {
-        if (contains(k, x, y) && (best < 0 || java.lang.Double.compare(area(k), area(best)) < 0))
+      var c = 0
+      while (c < candidates.length) {
+        val k = candidates(c)
+        if (k >= from && contains(k, x, y) &&
+            (best < 0 || java.lang.Double.compare(area(k), area(best)) < 0))
           best = k
-        k += 1
+        c += 1
       }
       best
     }

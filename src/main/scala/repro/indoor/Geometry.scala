@@ -65,6 +65,24 @@ object Geometry {
     }
   }
 
+  /** Whether `within` holds for `math.hypot(dx, dy)`; `within` must hold
+    * for every length shorter than one it holds for. The length is
+    * bracketed first by `sqrt` of the squared offset, widened by 10^-12^
+    * relative each way (`sqrt` and `hypot` each differ from the exact
+    * length by a few ulps), and `within` is tried at the bracket's ends: it
+    * decides when they agree, and only otherwise, or when the square
+    * underflows, overflows or is NaN, is `hypot` computed. The answer is
+    * that of `within(math.hypot(dx, dy))`. */
+  def hypotWithin(dx: Double, dy: Double)(within: Double => Boolean): Boolean = {
+    val sq = dx * dx + dy * dy
+    if (sq > 1e-200 && sq < 1e200) {
+      val r = math.sqrt(sq)
+      if (within(r * (1 + 1e-12))) return true
+      if (!within(r * (1 - 1e-12))) return false
+    }
+    within(math.hypot(dx, dy))
+  }
+
   /** Heading (radians in (-pi, pi]) of the displacement a→b; 0 when equal. */
   def heading(a: Pt, b: Pt): Double =
     if (a == b) 0.0 else math.atan2(b.y - a.y, b.x - a.x)

@@ -149,10 +149,30 @@ class TranslatorSpec extends SparkSpec {
         .mapPartitions(it => Iterator(it.toVector)).collect()
       check(parts, s"flatMap of $n input partitions")
       assert(parts.length == spark.sparkContext.defaultParallelism)
-      val tracks = PerDevice.tracks(input).mapPartitions(it => Iterator(it.toVector)).collect()
+      val tracks = PerDevice.tracks(input)
+        .mapPartitions(it => Iterator(it.map { case (id, t) => id -> t.records(id) }.toVector)).collect()
       check(tracks, s"tracks of $n input partitions")
       assert(tracks.length == spark.sparkContext.defaultParallelism)
     }
+  }
+
+  test("the pass binds the input's columns by name and by type") {
+    import spark.implicits._
+    val (_, _, model) = fixture
+    assert(evalRaw.collect().forall(_.ts.isValidInt), "timestamps that fit an int")
+    val base = Translator.translate(spark, evalRaw, dsm, model)
+    def cleaned(r: Translator.Result) = r.cleaned.collect().toSeq.sortBy(c => (c.deviceId, c.ts))
+    val df = evalRaw.toDF()
+    Seq(
+      "columns reordered" -> df.select($"floor", $"y", $"deviceId", $"x", $"ts"),
+      "columns reordered, an int ts" -> df.select($"y", $"ts".cast("int").as("ts"), $"floor", $"x", $"deviceId")
+    ).foreach { case (what, in) =>
+      val r = Translator.translate(spark, in.as[PosRecord], dsm, model)
+      assert(ordered(r.semantics.collect().toSeq) == ordered(base.semantics.collect().toSeq), what)
+      assert(cleaned(r) == cleaned(base), what)
+      r.unpersist()
+    }
+    base.unpersist()
   }
 
   /** `body`'s value, and the shuffle records written by the tasks of the
