@@ -69,10 +69,11 @@ def run(tree, workload, seed, secs, log):
 
 
 def quartiles(xs):
+    """q1, median and q3, interpolated between the order statistics."""
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
-    q1, q2, q3 = statistics.quantiles(xs, n=4)
-    return q1, statistics.median(xs), q3
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
 
 
 def report(rows, workload):

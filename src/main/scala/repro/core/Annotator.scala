@@ -16,9 +16,13 @@ import repro.indoor.Dsm
   * only by the sampling). A snippet on a floor the DSM does not model
   * matches no region and yields no semantics.
   *
-  * `Translator.translate` calls [[annotateDevice]] on each device right
-  * after cleaning it, in one pass; [[annotate]] runs it alone over cleaned
-  * records, device-parallel.
+  * [[annotateTrack]] is the one implementation: it reads a
+  * [[CleanTrack]]'s columns and the region index the Cleaner carried with
+  * each record, and builds no `CleanRecord` or `Snippet`.
+  * `Translator.translate` calls it on each device right after cleaning it,
+  * in one pass; [[annotateDevice]] is its form over a `Seq` of records
+  * (which it locates with `Dsm.regionIdxAtSnapped`), and [[annotate]] runs
+  * that alone over cleaned records, device-parallel.
   */
 object Annotator {
 

@@ -30,9 +30,13 @@ import repro.indoor.Geometry.IndoorPoint
   * with no on-map record keeps it, as `none`.
   *
   * The per-device pass is sequential (each repair feeds the next check).
-  * `Translator.translate` runs it inside its single per-device pass, and
-  * again over the same grouping for `Result.cleaned`; [[clean]] runs it
-  * alone, device-parallel, for T2 and the benchmark.
+  * [[cleanTrack]] is the one implementation: a flat loop over a
+  * [[Track]]'s columns that writes a [[CleanTrack]], each record with the
+  * region index of the location the speed check already computed, so the
+  * Annotator never locates a record again. `Translator.translate` runs it
+  * inside its single per-device pass, and again over the same grouping for
+  * `Result.cleaned`; [[clean]] runs it alone, device-parallel, for T2 and
+  * the benchmark; [[cleanDevice]] is its form over a `Seq` of records.
   */
 object Cleaner {
 

@@ -66,8 +66,10 @@ object Complementor {
 
     /** Dijkstra over the weights, from region index `from` to `to` (which
       * differ): the intermediate regions of the cheapest path, None when
-      * `to` is unreachable. Ties in cost dequeue in the order the queue
-      * received them, neighbours in `adjacentRegions` order. */
+      * `to` is unreachable. The queue receives the same nodes, with the
+      * same costs, in the same order as the string-keyed search did
+      * (neighbours in `adjacentRegions` order), so ties in cost break the
+      * same way. */
     def path(from: Int, to: Int): Option[List[Int]] = {
       val pq = mutable.PriorityQueue(Node(0.0, from))
       val best = Array.fill(next.length)(Double.MaxValue)

@@ -15,11 +15,13 @@ import scala.jdk.CollectionConverters._
   * layers' Spark entry points, the Event Editor's example cut and the
   * stop/move baseline.
   *
-  * Raw records go through [[tracks]]: each input partition groups its
-  * records by device and sends one columnar [[Track]] per device, so the
-  * shuffle carries one record per (input partition, device), not one per
-  * positioning record. The shuffle is an RDD `partitionBy`: on a 500-device
-  * week (~192k records, 4 cores) a drained track shuffle took 61–77 ms
+  * Raw records go through [[tracks]]: each input partition reads its rows
+  * straight into one columnar [[Track]] per device (no `PosRecord` per
+  * row) and sends it, so the shuffle carries one record per (input
+  * partition, device), not one per positioning record; each device's
+  * fragments are concatenated into one track on the reduce side. The
+  * shuffle is an RDD `partitionBy`: on a 500-device week (~192k records,
+  * 4 cores) a drained track shuffle took 61–77 ms
   * against 105–129 ms for the Dataset row exchange, and the same tracks
   * sent through a Dataset `repartition` took 111–122 ms, no better than
   * rows. The RDD path also runs its map and reduce stages in one job, with

@@ -5,8 +5,11 @@ import repro.indoor.{Dsm, Region}
 
 /** Spatial matching (Annotation layer, step 2b): "the spatial annotation is
   * made by matching the semantic regions in the DSM." [[matchRange]] is
-  * the per-snippet matcher: a majority vote of the member records'
-  * regions (noise-robust), skipped when they all agree.
+  * the one matcher: a majority vote of the member records' regions
+  * (noise-robust), skipped when they all agree. It reads the region index
+  * the Cleaner carried with each record, so a translation locates no
+  * record here; [[matchSnippet]] is its form over a [[Snippet]], which
+  * locates each record with `Dsm.regionIdxAtSnapped`.
   */
 object SpatialMatcher {
 

@@ -21,7 +21,10 @@ import scala.collection.mutable
   *    such discontinuities are what the Complementing layer later repairs.
   *
   * Splitting is structural only: the event annotation of each snippet is
-  * decided afterwards by the learned identification model.
+  * decided afterwards by the learned identification model. [[cut]] is the
+  * one implementation: it reads a [[CleanTrack]]'s columns and carried
+  * region indices and returns index ranges; [[split]] is its form over a
+  * `Seq` of records, returning [[Snippet]]s.
   */
 object Splitter {
 

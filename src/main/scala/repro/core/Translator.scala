@@ -16,11 +16,12 @@ import repro.indoor.Dsm
   * prior needs to see every device. So a translation is one shuffle, of
   * [[PerDevice.tracks]]: each input partition sends one columnar track per
   * device it holds, into one partition per core. Each partition cleans and
-  * annotates its devices and keeps the result as one compact
-  * [[SemanticsBlock]]. The knowledge is merged from the blocks' per-device
-  * summaries, and the complement runs over the same blocks, with no
-  * further shuffle. The Viewer traces intermediate data through
-  * [[Translator.Result]]; its cleaned records come from the pass's own
+  * annotates its devices' tracks column by column, locating each record in
+  * the DSM once (in the Cleaner), and keeps the result as one compact
+  * [[SemanticsBlock]]. The knowledge is summed from the blocks' encodings,
+  * and the complement runs over the same blocks, with no further shuffle.
+  * The Viewer traces intermediate data through [[Translator.Result]]; its
+  * cleaned records come from the pass's own
   * grouping, so reading them shuffles nothing. The layers' own Spark entry
   * points (`Cleaner.clean`, `Annotator.annotate`, ...) run each layer alone.
   * A translation calls none of them; the benchmark's per-layer trace

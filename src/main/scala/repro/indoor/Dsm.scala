@@ -38,8 +38,9 @@ final case class Door(id: String, regionA: String, regionB: String,
   *
   *  - `locate` — point location: the point snapped inside the walls of its
   *    floor, with the region holding it (spatial matching). It is the one
-  *    point-location rule: `regionAtSnapped`, which the annotation layer
-  *    and the simulator use, is the region it holds;
+  *    point-location rule: `regionAtSnapped`, which the simulator and the
+  *    annotation layer's `Seq` forms use, is the region it holds, and the
+  *    Cleaner carries the index of that region with each cleaned record;
   *  - `minWalkDist` — the minimum indoor walking distance between two
   *    indoor points, respecting walls, doors and staircases (used for the
   *    speed-constraint check, per Yang et al. as cited by the paper);
